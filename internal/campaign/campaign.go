@@ -139,9 +139,19 @@ func (e *Engine) Lookup(k Key) (Entry, bool) {
 	return e.cache.GetEntry(k.Digest())
 }
 
-// Stats snapshots the engine's cache and wall-time accounting.
+// Stats snapshots the engine's cache and wall-time accounting, with one
+// Timings row per completed cell.
 func (e *Engine) Stats() Summary {
-	s := e.stats.summary()
+	s := e.stats.summary(true)
+	s.Workers = e.workers
+	return s
+}
+
+// Counters is Stats without Timings: its cost does not grow with the
+// number of cells served, so a long-lived daemon can take it on every
+// request.
+func (e *Engine) Counters() Summary {
+	s := e.stats.summary(false)
 	s.Workers = e.workers
 	return s
 }

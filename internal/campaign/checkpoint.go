@@ -49,8 +49,7 @@ func (e *Engine) Checkpoint(clean bool) error {
 	if err != nil {
 		return err
 	}
-	sum := e.Stats()
-	sum.Timings = nil
+	sum := e.Counters()
 	cp := Checkpoint{Version: CheckpointVersion, Clean: clean, CacheCells: n, Summary: sum}
 	data, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {

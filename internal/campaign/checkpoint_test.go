@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -39,6 +40,30 @@ func TestCheckpointOnCleanCompletion(t *testing.T) {
 	}
 	if len(cp.Summary.Timings) != 0 {
 		t.Error("checkpoint should omit per-cell timings")
+	}
+}
+
+// TestCountersOmitTimings: Counters is Stats minus the per-cell rows,
+// which only Stats copies.
+func TestCountersOmitTimings(t *testing.T) {
+	e, err := New(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := []Task[int]{
+		{Key: testKey("ct", 1), Run: func() (int, error) { return 1, nil }},
+		{Key: testKey("ct", 2), Run: func() (int, error) { return 2, nil }},
+	}
+	if _, err := Run(e, tasks); err != nil {
+		t.Fatal(err)
+	}
+	full, counters := e.Stats(), e.Counters()
+	if len(full.Timings) != 2 || counters.Timings != nil {
+		t.Fatalf("Stats has %d timings, Counters %d; want 2 and none", len(full.Timings), len(counters.Timings))
+	}
+	full.Timings = nil
+	if !reflect.DeepEqual(full, counters) {
+		t.Fatalf("Counters = %+v, want Stats without timings %+v", counters, full)
 	}
 }
 

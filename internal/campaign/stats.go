@@ -147,7 +147,9 @@ func (s *Stats) recordError() {
 	s.errors++
 }
 
-func (s *Stats) summary() Summary {
+// summary snapshots the counters, and copies the per-cell timings when
+// timings is set.
+func (s *Stats) summary(timings bool) Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sum := Summary{
@@ -163,7 +165,9 @@ func (s *Stats) summary() Summary {
 		QueueingHits:   s.queueHits,
 		QueueingMisses: s.queueMiss,
 		SimWallSeconds: s.simWall,
-		Timings:        append([]CellTiming(nil), s.timings...),
+	}
+	if timings {
+		sum.Timings = append([]CellTiming(nil), s.timings...)
 	}
 	if sum.Cells > 0 {
 		sum.HitRate = float64(sum.Hits) / float64(sum.Cells)

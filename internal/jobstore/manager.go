@@ -258,6 +258,20 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		notify: make(chan struct{}),
 	}
 
+	// Persist and register the job before its cells are queued: a cell
+	// dispatched and completed at once must find the job in m.jobs, and
+	// the record written here must not race finalizeLocked's rewrite of
+	// the same file.
+	if spec.Durable && m.store != nil {
+		if err := m.store.Put(m.record(j)); err != nil {
+			return nil, err
+		}
+	}
+	m.mu.Lock()
+	m.jobs[id] = j
+	m.order = append(m.order, id)
+	m.mu.Unlock()
+
 	sj := &schedJob{id: id}
 	for i, cs := range spec.Cells {
 		sj.cells = append(sj.cells, pendingCell{
@@ -265,24 +279,12 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		})
 	}
 	if err := m.sched.AddJob(spec.Tenant, sj, spec.Lane, false); err != nil {
+		m.unregister(id)
+		if spec.Durable && m.store != nil {
+			_ = m.store.Reap(id)
+		}
 		return nil, err
 	}
-
-	if spec.Durable && m.store != nil {
-		rec := m.record(j)
-		if err := m.store.Put(rec); err != nil {
-			// The job is already queued; losing durability is worse than
-			// failing the submission, so unwind it.
-			m.sched.CancelJob(spec.Tenant, id)
-			m.sched.JobDone(spec.Tenant)
-			return nil, err
-		}
-	}
-
-	m.mu.Lock()
-	m.jobs[id] = j
-	m.order = append(m.order, id)
-	m.mu.Unlock()
 	m.submitted.Add(1)
 	return j, nil
 }
@@ -650,19 +652,24 @@ func (m *Manager) gcOnce(now time.Time) {
 }
 
 func (m *Manager) reap(j *Job) {
-	m.mu.Lock()
-	delete(m.jobs, j.id)
-	for i, id := range m.order {
-		if id == j.id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-	m.mu.Unlock()
+	m.unregister(j.id)
 	if j.durable && m.store != nil {
 		_ = m.store.Reap(j.id)
 	}
 	m.reapedJobs.Add(1)
+}
+
+// unregister removes a job from the in-memory index.
+func (m *Manager) unregister(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.jobs, id)
+	for i, o := range m.order {
+		if o == id {
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			break
+		}
+	}
 }
 
 // Stop closes the scheduler, cancels still-pending ephemeral cells

@@ -101,15 +101,17 @@ func waitDone(t *testing.T, j *Job) JobStatus {
 	t.Helper()
 	deadline := time.After(10 * time.Second)
 	for {
-		st := j.Status()
-		if st.Done {
-			return st
+		// Done and the wait channel come from one Next call: a job that
+		// finishes between two separate reads would leave the helper
+		// waiting on a channel that never closes.
+		_, done, wait := j.Next(0)
+		if done {
+			return j.Status()
 		}
-		_, _, wait := j.Next(0)
 		select {
 		case <-wait:
 		case <-deadline:
-			t.Fatalf("job %s never finished: %+v", j.ID(), st)
+			t.Fatalf("job %s never finished: %+v", j.ID(), j.Status())
 		}
 	}
 }

@@ -357,10 +357,9 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		JobStats:      s.mgr.Stats(),
 	}
 	if eng := s.suite.Engine(); eng != nil {
-		st.Campaign = eng.Stats()
 		// Per-cell timings grow without bound in a long-lived daemon;
 		// statz reports the aggregate accounting only.
-		st.Campaign.Timings = nil
+		st.Campaign = eng.Counters()
 	}
 	writeJSON(w, http.StatusOK, st)
 }

@@ -83,7 +83,7 @@ func (s *Server) metricsSnapshot() telemetry.Snapshot {
 		s.mgr.WaitHistograms(js.Histogram("wait_interactive_us"), js.Histogram("wait_batch_us"))
 	}
 	if eng := s.suite.Engine(); eng != nil {
-		st := eng.Stats()
+		st := eng.Counters()
 		cs := reg.Scope("campaign")
 		cs.Counter("cells").Set(uint64(st.Cells))
 		cs.Counter("cache.hits").Set(uint64(st.Hits))

@@ -581,7 +581,7 @@ func (s *Server) safeRun(spec expt.CellSpec, f *flight, deadline time.Time) (res
 func (s *Server) retryAfter() time.Duration {
 	mean := 1.0
 	if eng := s.suite.Engine(); eng != nil {
-		if st := eng.Stats(); st.Misses > 0 {
+		if st := eng.Counters(); st.Misses > 0 {
 			mean = st.SimWallSeconds / float64(st.Misses)
 		}
 	}

@@ -68,19 +68,18 @@ type Lognormal struct {
 	CV      float64 // coefficient of variation (stddev/mean)
 }
 
-func (l Lognormal) params() (mu, sigma float64) {
+// Prepared returns l as a sampler whose underlying normal's parameters
+// are computed once, for loops that draw many variates. It draws the same
+// values as l. The parameters live in a separate type, not in Lognormal,
+// because cache digests hash Lognormal values field by field.
+func (l Lognormal) Prepared() PreparedLognormal {
 	// For lognormal: mean = exp(mu + sigma^2/2), CV^2 = exp(sigma^2)-1.
 	s2 := math.Log(1 + l.CV*l.CV)
-	sigma = math.Sqrt(s2)
-	mu = math.Log(l.MeanVal) - s2/2
-	return mu, sigma
+	return PreparedLognormal{l: l, mu: math.Log(l.MeanVal) - s2/2, sigma: math.Sqrt(s2)}
 }
 
 // Sample implements Distribution.
-func (l Lognormal) Sample(r *RNG) float64 {
-	mu, sigma := l.params()
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
+func (l Lognormal) Sample(r *RNG) float64 { return l.Prepared().Sample(r) }
 
 // Mean implements Distribution.
 func (l Lognormal) Mean() float64 { return l.MeanVal }
@@ -88,6 +87,23 @@ func (l Lognormal) Mean() float64 { return l.MeanVal }
 func (l Lognormal) String() string {
 	return fmt.Sprintf("Lognormal(mean=%g,cv=%g)", l.MeanVal, l.CV)
 }
+
+// PreparedLognormal is a Lognormal with its normal parameters (mu, sigma)
+// precomputed; see Lognormal.Prepared.
+type PreparedLognormal struct {
+	l         Lognormal
+	mu, sigma float64
+}
+
+// Sample implements Distribution.
+func (p PreparedLognormal) Sample(r *RNG) float64 {
+	return math.Exp(p.mu + p.sigma*r.NormFloat64())
+}
+
+// Mean implements Distribution.
+func (p PreparedLognormal) Mean() float64 { return p.l.MeanVal }
+
+func (p PreparedLognormal) String() string { return p.l.String() }
 
 // BoundedPareto is a heavy-tailed distribution on [L, H] with shape Alpha.
 // The paper notes that cloud service distributions are heavy-tailed; we use

@@ -157,3 +157,23 @@ func TestEmpiricalSingle(t *testing.T) {
 		t.Fatal("single-point empirical should always return the point")
 	}
 }
+
+// The prepared sampler draws exactly what the mean/CV formula draws, and
+// describes itself as the plain distribution does.
+func TestLognormalPreparedMatches(t *testing.T) {
+	for _, d := range []Lognormal{{MeanVal: 10, CV: 1.5}, {MeanVal: 0.3, CV: 0.2}, {MeanVal: 250, CV: 3}} {
+		p := d.Prepared()
+		if p.Mean() != d.Mean() || p.String() != d.String() {
+			t.Fatalf("%v: prepared Mean/String = %v/%q", d, p.Mean(), p.String())
+		}
+		r1, r2 := NewRNG(21), NewRNG(21)
+		s2 := math.Log(1 + d.CV*d.CV)
+		mu, sigma := math.Log(d.MeanVal)-s2/2, math.Sqrt(s2)
+		for i := 0; i < 1000; i++ {
+			want := math.Exp(mu + sigma*r1.NormFloat64())
+			if got := p.Sample(r2); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v: draw %d = %v, want %v", d, i, got, want)
+			}
+		}
+	}
+}

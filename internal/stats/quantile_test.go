@@ -45,42 +45,142 @@ func TestLatencyRecorderInterleavedSort(t *testing.T) {
 	}
 }
 
-// TestLatencyRecorderMergeMatchesFullSort interleaves adds with
-// quantile queries (the convergence-check access pattern) and verifies
-// the incrementally merged recorder agrees with a full sort of the same
-// observations at every checkpoint.
-func TestLatencyRecorderMergeMatchesFullSort(t *testing.T) {
-	rng := NewRNG(7)
-	l := NewLatencyRecorder(64)
-	var ref []float64
-	for round := 0; round < 50; round++ {
-		// Uneven batch sizes exercise empty, tiny, and large tails.
-		n := int(rng.Uint64() % 300)
-		for i := 0; i < n; i++ {
-			x := rng.ExpFloat64() * 100
-			l.Add(x)
-			ref = append(ref, x)
-		}
-		sorted := append([]float64(nil), ref...)
-		sort.Float64s(sorted)
-		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-			if got, want := l.Quantile(q), Quantile(sorted, q); got != want {
-				t.Fatalf("round %d: q%.2f = %v, want %v", round, q, got, want)
+// refQuantileCI is QuantileCI's specification: the binomial
+// order-statistic interval read from a full sort.
+func refQuantileCI(sorted []float64, q, z float64) (est, lo, hi float64) {
+	n := len(sorted)
+	sd := z * math.Sqrt(float64(n)*q*(1-q))
+	loIdx := int(math.Floor(q*float64(n) - sd))
+	hiIdx := int(math.Ceil(q*float64(n) + sd))
+	if loIdx < 0 {
+		loIdx = 0
+	}
+	if hiIdx > n-1 {
+		hiIdx = n - 1
+	}
+	return Quantile(sorted, q), sorted[loIdx], sorted[hiIdx]
+}
+
+// TestLatencyRecorderMatchesFullSort is a randomized property test: for
+// input streams that stress selection (ties, all-equal, sorted and
+// reversed input, and rising or falling non-stationary streams that
+// force the tracked window to be re-cut), random interleavings of Add,
+// Quantile, QuantileCI, Samples and Reset answer bit-for-bit what a full
+// sort of the same observations answers.
+func TestLatencyRecorderMatchesFullSort(t *testing.T) {
+	streams := map[string]func(r *RNG, i int) float64{
+		"exponential": func(r *RNG, i int) float64 { return r.ExpFloat64() * 100 },
+		"ties":        func(r *RNG, i int) float64 { return float64(r.Intn(5)) },
+		"all-equal":   func(r *RNG, i int) float64 { return 7 },
+		"sorted":      func(r *RNG, i int) float64 { return float64(i) },
+		"reversed":    func(r *RNG, i int) float64 { return float64(-i) },
+		"rising":      func(r *RNG, i int) float64 { return float64(i)*0.01 + r.ExpFloat64() },
+		"falling":     func(r *RNG, i int) float64 { return 1e4/float64(i+1) + r.ExpFloat64() },
+	}
+	qs := []float64{0, 0.001, 0.25, 0.5, 0.95, 0.99, 0.999, 1}
+	for name, gen := range streams {
+		t.Run(name, func(t *testing.T) {
+			rng := NewRNG(uint64(len(name)) * 7919)
+			l := NewLatencyRecorder(64)
+			var ref []float64
+			sum := 0.0
+			added := 0
+			check := func(step int, what string, got, want float64) {
+				t.Helper()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d (n=%d): %s = %v, want %v", step, len(ref), what, got, want)
+				}
 			}
-		}
-		if len(ref) > 0 {
-			est, lo, hi := l.QuantileCI(0.99, 1.96)
-			if math.IsNaN(est) || lo > est || hi < est {
-				t.Fatalf("round %d: CI %v [%v, %v] inconsistent", round, est, lo, hi)
+			cuts := map[float64]bool{}
+			for step := 0; step < 300; step++ {
+				sorted := func() []float64 {
+					s := append([]float64(nil), ref...)
+					sort.Float64s(s)
+					return s
+				}
+				switch op := rng.Intn(10); {
+				case op < 4: // a batch of Adds, sometimes empty, sometimes large
+					n := rng.Intn(2000)
+					for i := 0; i < n; i++ {
+						x := gen(rng, added)
+						added++
+						l.Add(x)
+						ref = append(ref, x)
+						sum += x
+					}
+				case op < 6:
+					q := qs[rng.Intn(len(qs))]
+					check(step, "Quantile", l.Quantile(q), Quantile(sorted(), q))
+				case op < 8:
+					if len(ref) == 0 {
+						break
+					}
+					q := qs[1+rng.Intn(len(qs)-2)]
+					est, lo, hi := l.QuantileCI(q, 1.96)
+					wEst, wLo, wHi := refQuantileCI(sorted(), q, 1.96)
+					cuts[l.cut] = true
+					check(step, "QuantileCI est", est, wEst)
+					check(step, "QuantileCI lo", lo, wLo)
+					check(step, "QuantileCI hi", hi, wHi)
+				case op < 9:
+					got, sorted := l.Samples(), sorted()
+					if len(got) != len(sorted) {
+						t.Fatalf("step %d: Samples len %d, want %d", step, len(got), len(sorted))
+					}
+					for i := range got {
+						check(step, "Samples", got[i], sorted[i])
+					}
+				default:
+					if rng.Intn(4) == 0 {
+						l.Reset()
+						ref, sum = ref[:0], 0
+					}
+				}
+				if l.Count() != len(ref) {
+					t.Fatalf("step %d: Count = %d, want %d", step, l.Count(), len(ref))
+				}
+				if len(ref) > 0 {
+					check(step, "Mean", l.Mean(), sum/float64(len(ref)))
+				}
 			}
+			if (name == "rising" || name == "falling") && len(cuts) < 3 {
+				t.Fatalf("a non-stationary stream re-cut the window only %d times", len(cuts))
+			}
+		})
+	}
+}
+
+// TestSelectRankAdversarial checks selection alone on the inputs that
+// defeat naive pivots: every rank of sorted, reversed, all-equal,
+// two-valued and organ-pipe arrays.
+func TestSelectRankAdversarial(t *testing.T) {
+	const n = 300
+	inputs := map[string]func(i int) float64{
+		"sorted":     func(i int) float64 { return float64(i) },
+		"reversed":   func(i int) float64 { return float64(n - i) },
+		"all-equal":  func(i int) float64 { return 1 },
+		"two-valued": func(i int) float64 { return float64(i % 2) },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
+	}
+	for name, f := range inputs {
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = f(i)
 		}
-		got := l.Samples()
-		if len(got) != len(sorted) {
-			t.Fatalf("round %d: Samples len %d, want %d", round, len(got), len(sorted))
-		}
-		for i := range got {
-			if got[i] != sorted[i] {
-				t.Fatalf("round %d: Samples[%d] = %v, want %v", round, i, got[i], sorted[i])
+		sort.Float64s(want)
+		for k := 0; k < n; k++ {
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = f(i)
+			}
+			selectRank(a, k)
+			if a[k] != want[k] {
+				t.Fatalf("%s: rank %d = %v, want %v", name, k, a[k], want[k])
+			}
+			for i := range a {
+				if (i < k && a[i] > a[k]) || (i > k && a[i] < a[k]) {
+					t.Fatalf("%s: rank %d: a[%d] = %v on the wrong side of %v", name, k, i, a[i], a[k])
+				}
 			}
 		}
 	}
@@ -192,5 +292,32 @@ func TestBinomialTailMonteCarlo(t *testing.T) {
 	an := BinomialTail(n, p, 8)
 	if math.Abs(mc-an) > 0.01 {
 		t.Fatalf("Monte-Carlo %v vs analytic %v", mc, an)
+	}
+}
+
+// TestLatencyRecorderQuantileGrid checks Quantile below any window, where
+// it reads rank i by selection and rank i+1 by a scan, over many sizes
+// and a fine grid of q, for continuous and heavily tied input.
+func TestLatencyRecorderQuantileGrid(t *testing.T) {
+	rng := NewRNG(11)
+	for n := 1; n <= 400; n += 3 {
+		for _, tied := range []bool{false, true} {
+			l := NewLatencyRecorder(n)
+			ref := make([]float64, n)
+			for i := range ref {
+				x := rng.ExpFloat64()
+				if tied {
+					x = float64(rng.Intn(4))
+				}
+				ref[i] = x
+				l.Add(x)
+			}
+			sort.Float64s(ref)
+			for q := 0.0; q <= 1; q += 0.01 {
+				if got, want := l.Quantile(q), Quantile(ref, q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d tied=%v: q%.2f = %v, want %v", n, tied, q, got, want)
+				}
+			}
+		}
 	}
 }

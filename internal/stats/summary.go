@@ -89,24 +89,36 @@ func (s *Summary) Merge(other *Summary) {
 // samples using linear interpolation between order statistics. If samples
 // is unsorted the result is undefined; use QuantileUnsorted for raw data.
 func Quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
+	i, frac, interp := quantileRank(len(sorted), q)
+	if !interp {
+		return sorted[i]
+	}
+	return lerp(sorted[i], sorted[i+1], frac)
+}
+
+// quantileRank locates the q-quantile among n > 0 ascending values: it
+// is the value at rank i alone when interp is false, and otherwise
+// lerp(rank i, rank i+1, frac).
+func quantileRank(n int, q float64) (i int, frac float64, interp bool) {
 	if q <= 0 {
-		return sorted[0]
+		return 0, 0, false
 	}
 	if q >= 1 {
-		return sorted[n-1]
+		return n - 1, 0, false
 	}
 	pos := q * float64(n-1)
-	i := int(pos)
-	frac := pos - float64(i)
+	i = int(pos)
 	if i+1 >= n {
-		return sorted[n-1]
+		return n - 1, 0, false
 	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
+	return i, pos - float64(i), true
 }
+
+// lerp interpolates linearly between adjacent order statistics a and b.
+func lerp(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
 
 // QuantileUnsorted copies, sorts, and returns the q-quantile of samples.
 func QuantileUnsorted(samples []float64, q float64) float64 {

@@ -41,12 +41,13 @@ func (s *Spec) CapacityQPS() float64 { return 1e6 / s.NominalServiceUs }
 func (s *Spec) QPSAtLoad(load float64) float64 { return load * s.CapacityQPS() }
 
 // ServiceDist returns the workload's service-time distribution in µs for
-// request-granularity queueing simulation.
+// request-granularity queueing simulation, prepared for per-request
+// sampling.
 func (s *Spec) ServiceDist() stats.Distribution {
 	if s.ServiceCV == 0 {
 		return stats.Deterministic{Value: s.NominalServiceUs}
 	}
-	return stats.Lognormal{MeanVal: s.NominalServiceUs, CV: s.ServiceCV}
+	return stats.Lognormal{MeanVal: s.NominalServiceUs, CV: s.ServiceCV}.Prepared()
 }
 
 // NewGen returns a fresh per-request instruction generator.

@@ -67,8 +67,10 @@ go test -race -run 'TestE2E' -timeout 15m .
 # The energy-proportionality subsystem: queueing idle accounting, the
 # residency-weighted power model, and the governor-keyed campaign cells.
 # Named explicitly so a -run tweak above can never drop the conservation
-# invariant (utilization + idle fraction == 1) from the raced gate.
-go test -race -timeout 15m ./internal/idle ./internal/queueing ./internal/power
+# invariant (utilization + idle fraction == 1) from the raced gate. The
+# stats package carries the latency recorder the queueing stage's
+# convergence checks and percentiles read.
+go test -race -timeout 15m ./internal/idle ./internal/stats ./internal/queueing ./internal/power
 # Trace propagation crosses every concurrency boundary in the system
 # (admission queue, coalesced flights, hedged dispatch, ring snapshot);
 # name the trace suites explicitly so a -run filter tweak above can
