@@ -1,6 +1,10 @@
 package graphwl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -231,5 +235,92 @@ func TestJobValidation(t *testing.T) {
 	}
 	if KernelPageRank.String() != "pagerank" || KernelSSSP.String() != "sssp" {
 		t.Fatal("kernel names wrong")
+	}
+}
+
+// streamDigest drives streams with an uneven interleaving (stream i takes
+// 1+i%3 instructions per round) until every job has completed at least
+// minSteps supersteps, hashing every field of every instruction.
+func streamDigest(t *testing.T, streams []isa.Stream, jobs []*Job, minSteps int) (string, int) {
+	t.Helper()
+	done := func() bool {
+		for _, j := range jobs {
+			if int(j.Runs)*j.cfg.ItersPerRun+j.Superstep() < minSteps {
+				return false
+			}
+		}
+		return true
+	}
+	h := sha256.New()
+	var rec [8 * 5]byte
+	n := 0
+	for !done() {
+		for i, s := range streams {
+			for k := 0; k <= i%3; k++ {
+				in, ok := s.Next(0)
+				if !ok {
+					t.Fatalf("stream %d went idle", i)
+				}
+				binary.LittleEndian.PutUint64(rec[0:], in.PC)
+				binary.LittleEndian.PutUint64(rec[8:], in.Addr)
+				binary.LittleEndian.PutUint64(rec[16:], in.Target)
+				binary.LittleEndian.PutUint64(rec[24:], math.Float64bits(in.RemoteNs))
+				rec[32] = byte(in.Op)
+				rec[33] = byte(in.Dst)
+				rec[34] = byte(in.Src1)
+				rec[35] = byte(in.Src2)
+				rec[36] = b2u(in.Taken) | b2u(in.IsCall)<<1 | b2u(in.IsReturn)<<2 | b2u(in.EndOfRequest)<<3
+				h.Write(rec[:])
+				n++
+			}
+		}
+	}
+	for _, j := range jobs {
+		fmt.Fprintf(h, "|%d/%d/%d", j.Runs, j.superstep, j.RemoteReads)
+	}
+	return hex.EncodeToString(h.Sum(nil)), n
+}
+
+func b2u(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestBSPStreamGolden pins the exact instruction streams of both BSP
+// kernels across several superstep rollovers (and, for the small jobs,
+// kernel restarts), so a change to the generator's bookkeeping — the
+// per-superstep remote-line set above all — cannot silently change the
+// work the simulated cores execute.
+func TestBSPStreamGolden(t *testing.T) {
+	g := MustGenPowerLaw(1024, 12, 0.5, 5)
+	fill, pr, ss, err := NewFillerSet(g, 32, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prSmall := MustNewJob(JobConfig{Graph: g, Kernel: KernelPageRank, Workers: 3,
+		ItersPerRun: 2, RemoteBatch: 1, Seed: 7})
+	ssSmall := MustNewJob(JobConfig{Graph: g, Kernel: KernelSSSP, Workers: 5,
+		ItersPerRun: 3, RemoteBatch: 8, Source: 17, Seed: 8})
+	cases := []struct {
+		name    string
+		streams []isa.Stream
+		jobs    []*Job
+		want    string
+		wantN   int
+	}{
+		{"fillerset", fill, []*Job{pr, ss},
+			"716566e99b8940c289c6addc5476f7efba1cef2019542310c7d1549f55ac7de7", 495495},
+		{"pagerank-batch1", prSmall.Streams(), []*Job{prSmall},
+			"b880e35684574f356ddfdf19d134d688b26fcd5ebc556cbcf7c5c5818a14eb23", 239034},
+		{"sssp-batch8", ssSmall.Streams(), []*Job{ssSmall},
+			"a4f51002863d652fa6c3408b3ed7d99a8d70bad8ec353e4e26d04a6f3f9d6dea", 196407},
+	}
+	for _, c := range cases {
+		got, n := streamDigest(t, c.streams, c.jobs, 4)
+		if got != c.want || n != c.wantN {
+			t.Errorf("%s: stream digest %s over %d instrs, want %s over %d", c.name, got, n, c.want, c.wantN)
+		}
 	}
 }
