@@ -119,8 +119,11 @@ func (s Stats) MissRateFor(o Owner) float64 {
 // Cache is a set-associative, LRU, write-allocate cache model.
 // It tracks line presence and ownership, not data contents.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds every set's ways back to back: set s is
+	// lines[s*ways : (s+1)*ways].
+	lines    []line
+	ways     int
 	setMask  uint64
 	setBits  uint
 	lineBits uint
@@ -141,17 +144,12 @@ func New(cfg Config) (*Cache, error) {
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	nsets := lines / cfg.Ways
-	c := &Cache{cfg: cfg, setMask: uint64(nsets - 1)}
+	c := &Cache{cfg: cfg, lines: make([]line, lines), ways: cfg.Ways, setMask: uint64(nsets - 1)}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
 	}
 	for m := c.setMask; m > 0; m >>= 1 {
 		c.setBits++
-	}
-	c.sets = make([][]line, nsets)
-	backing := make([]line, lines)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
 	}
 	return c, nil
 }
@@ -176,16 +174,22 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return l & c.setMask, l >> c.setBits
 }
 
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	lo := int(s) * c.ways
+	return c.lines[lo : lo+c.ways : lo+c.ways]
+}
+
 // Access looks up addr for the given owner, allocating on miss (LRU
-// victim). It returns whether the access hit and, if a valid line was
-// evicted, its line-aligned address.
+// victim) and reports whether the access hit. An evicted valid line's
+// address goes to OnEvict.
 func (c *Cache) Access(addr uint64, write bool, owner Owner) (hit bool) {
 	set, tag := c.index(addr)
 	c.lruClock++
 	c.Stats.Accesses[owner]++
-	ways := c.sets[set]
+	ways := c.set(set)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].tag == tag && ways[i].valid {
 			ways[i].lru = c.lruClock
 			if write && !c.cfg.WriteThrough {
 				ways[i].dirty = true
@@ -193,6 +197,32 @@ func (c *Cache) Access(addr uint64, write bool, owner Owner) (hit bool) {
 			return true
 		}
 	}
+	c.miss(set, tag, ways, write, owner)
+	return false
+}
+
+// Fill installs addr's line for owner unless it is already present, and
+// reports whether it was. A present line is left untouched (no LRU,
+// dirty or statistics update); an absent one is installed exactly as a
+// read miss in Access installs it. This is Contains followed, on
+// absence, by Access — in one set scan — and is what a prefetcher uses.
+func (c *Cache) Fill(addr uint64, owner Owner) bool {
+	set, tag := c.index(addr)
+	ways := c.set(set)
+	for i := range ways {
+		if ways[i].tag == tag && ways[i].valid {
+			return true
+		}
+	}
+	c.lruClock++
+	c.Stats.Accesses[owner]++
+	c.miss(set, tag, ways, false, owner)
+	return false
+}
+
+// miss counts a miss in set (whose ways are ways) and installs tag over
+// the victim: the first invalid way, else the least recently used.
+func (c *Cache) miss(set, tag uint64, ways []line, write bool, owner Owner) {
 	c.Stats.Misses[owner]++
 	// Choose victim: invalid way first, else least-recently used.
 	victim := 0
@@ -220,7 +250,6 @@ func (c *Cache) Access(addr uint64, write bool, owner Owner) (hit bool) {
 fill:
 	ways[victim] = line{tag: tag, valid: true, owner: owner, lru: c.lruClock,
 		dirty: write && !c.cfg.WriteThrough}
-	return false
 }
 
 // lineAddr reconstructs the line-aligned address from set and tag.
@@ -231,8 +260,8 @@ func (c *Cache) lineAddr(set, tag uint64) uint64 {
 // Contains reports whether addr is present (no LRU/state update).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	for _, l := range c.set(set) {
+		if l.tag == tag && l.valid {
 			return true
 		}
 	}
@@ -242,9 +271,9 @@ func (c *Cache) Contains(addr uint64) bool {
 // Invalidate removes addr's line if present (coherence back-invalidation).
 func (c *Cache) Invalidate(addr uint64) {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].tag == tag && ways[i].valid {
 			ways[i].valid = false
 			c.Stats.Invalidations++
 			return
@@ -255,32 +284,23 @@ func (c *Cache) Invalidate(addr uint64) {
 // InvalidateAll discards every line (e.g. a write-through L0 whose
 // contents may be dropped at any time).
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				c.sets[s][w].valid = false
-				c.Stats.Invalidations++
-			}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			c.lines[i].valid = false
+			c.Stats.Invalidations++
 		}
 	}
 }
 
 // OccupancyBy returns the fraction of valid lines installed by owner.
 func (c *Cache) OccupancyBy(owner Owner) float64 {
-	total := 0
 	mine := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			total++
-			if c.sets[s][w].valid && c.sets[s][w].owner == owner {
-				mine++
-			}
+	for _, l := range c.lines {
+		if l.valid && l.owner == owner {
+			mine++
 		}
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(mine) / float64(total)
+	return float64(mine) / float64(len(c.lines))
 }
 
 // StorageBits returns tag+state storage (for the area model the data

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"duplexity/internal/graphwl"
 	"duplexity/internal/workload"
 )
 
@@ -92,6 +93,72 @@ func TestDyadEventRunZeroAlloc(t *testing.T) {
 		d.Run(2_000_000)
 		if n := testing.AllocsPerRun(100, func() { d.Run(1_000) }); n != 0 {
 			t.Fatalf("%v: event-mode Run allocates %.4f objects/call in steady state, want 0", design, n)
+		}
+	}
+}
+
+// benchDyadBSP is benchDyad with the matrix campaign's filler set in
+// place of the synthetic batch streams: the Section V BSP set (16
+// PageRank + 16 SSSP workers over the matrix's 4096-vertex power-law
+// graph). It returns the two BSP jobs so callers can observe superstep
+// progress.
+func benchDyadBSP(tb testing.TB, design Design, mode ExecMode) (*Dyad, *graphwl.Job, *graphwl.Job) {
+	tb.Helper()
+	master, err := workload.NewRequestStream(masterGen(1, true), 100_000, design.FreqGHz(), 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := graphwl.MustGenPowerLaw(4096, 12, 0.5, 1)
+	fillers, pr, ss, err := graphwl.NewFillerSet(g, 32, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d, err := NewDyad(Config{Design: design, MasterStream: master, BatchStreams: fillers})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d.Exec = mode
+	return d, pr, ss
+}
+
+// BenchmarkDyadBSP measures the event engine on the workload the matrix
+// campaign actually simulates — the BSP filler set, not a synthetic
+// batch stream — reporting ns per simulated cycle. Steady state,
+// superstep rollovers included, must not allocate.
+func BenchmarkDyadBSP(b *testing.B) {
+	for _, design := range []Design{DesignBaseline, DesignDuplexity} {
+		b.Run(design.String(), func(b *testing.B) {
+			d, _, _ := benchDyadBSP(b, design, ExecEvent)
+			d.Run(1_000_000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			d.Run(uint64(b.N))
+		})
+	}
+}
+
+// TestDyadBSPZeroAlloc pins the zero-allocation property for the BSP
+// filler set in event mode across superstep rollovers, where the
+// generator resets its per-superstep state for every worker.
+func TestDyadBSPZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-million-cycle warmup; skipped with -short")
+	}
+	for _, design := range []Design{DesignBaseline, DesignDuplexity} {
+		d, pr, ss := benchDyadBSP(t, design, ExecEvent)
+		// Two supersteps of both jobs: every worker's instruction queue
+		// has reached the longest gather its shard emits.
+		// Supersteps completed (NewFillerSet jobs run 10 per kernel run).
+		steps := func(j *graphwl.Job) uint64 { return j.Runs*10 + uint64(j.Superstep()) }
+		for d.Now() < 2_000_000 || steps(pr) < 2 || steps(ss) < 2 {
+			d.Run(100_000)
+		}
+		before := steps(pr) + steps(ss)
+		if n := testing.AllocsPerRun(4, func() { d.Run(500_000) }); n != 0 {
+			t.Fatalf("%v: event-mode Run over the BSP filler set allocates %.2f objects per 500k cycles, want 0", design, n)
+		}
+		if rolled := steps(pr) + steps(ss) - before; rolled < 3 {
+			t.Fatalf("%v: measured window crossed %d superstep rollovers, want >= 3", design, rolled)
 		}
 	}
 }

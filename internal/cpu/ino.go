@@ -23,23 +23,11 @@ const (
 	RemoteHandled
 )
 
-// InOSlot is one physical context of the in-order SMT datapath.
+// InOSlot is one physical context of the in-order SMT datapath. The
+// fields issue and fetch test for every slot on every cycle come first,
+// so they share the struct's first cache line.
 type InOSlot struct {
-	stream isa.Stream
 	active bool
-	idx    int // position in InOCore.slots
-
-	// buf is consumed from bufHead (ring-head index: re-slicing with
-	// [1:] would shed backing-array capacity on every issue and force an
-	// allocation every few instructions).
-	buf        []isa.Instr
-	bufHead    int
-	regReadyAt [isa.NumArchRegs]uint64
-	// headWakeAt caches the cycle at which the head instruction's sources
-	// become ready; the issue loop skips the slot until then. Reset to 0
-	// whenever the head changes.
-	headWakeAt    uint64
-	fetchResumeAt uint64
 	// fetchBlocked latches fetch off between a mispredicted branch's
 	// fetch and its issue (resolution); the redirect penalty is charged
 	// when the branch issues.
@@ -48,9 +36,23 @@ type InOSlot struct {
 	unavailableUntil uint64
 	// blockedUntil is the completion time of an engine-managed remote op.
 	blockedUntil uint64
-	lastLine     uint64
+	// headWakeAt caches the cycle at which the head instruction's sources
+	// become ready; the issue loop skips the slot until then. Reset to 0
+	// whenever the head changes.
+	headWakeAt    uint64
+	fetchResumeAt uint64
+	// buf is consumed from bufHead (ring-head index: re-slicing with
+	// [1:] would shed backing-array capacity on every issue and force an
+	// allocation every few instructions).
+	buf      []isa.Instr
+	bufHead  int
+	stream   isa.Stream
+	lastLine uint64
+	idx      int // position in InOCore.slots
 
 	Stats ThreadStats
+
+	regReadyAt [isa.NumArchRegs]uint64
 }
 
 // Active reports whether a context is bound to the slot.
@@ -196,6 +198,16 @@ func (c *InOCore) Preload(slot int, instrs []isa.Instr) {
 	s.headWakeAt = 0
 }
 
+// wrapInc returns i+1 modulo n for i in [0, n): the round-robin and
+// ring-buffer step, without a division.
+func wrapInc(i, n int) int {
+	i++
+	if i == n {
+		return 0
+	}
+	return i
+}
+
 func max64(a, b uint64) uint64 {
 	if a > b {
 		return a
@@ -216,10 +228,10 @@ func (c *InOCore) issue(now uint64) {
 	total := c.cfg.Width
 	ldst, fp, mul, ialu := c.cfg.LdStPorts, c.cfg.FPUs, c.cfg.Muls, c.cfg.IntALUs
 	n := len(c.slots)
-	start := c.issueRR
-	c.issueRR = (c.issueRR + 1) % n
-	for k := 0; k < n && total > 0; k++ {
-		s := c.slots[(start+k)%n]
+	idx := c.issueRR
+	c.issueRR = wrapInc(c.issueRR, n)
+	for k := 0; k < n && total > 0; k, idx = k+1, wrapInc(idx, n) {
+		s := c.slots[idx]
 		if !s.active || s.unavailableUntil > now || s.blockedUntil > now {
 			continue
 		}
@@ -334,11 +346,11 @@ func (c *InOCore) slotIndex(s *InOSlot) int { return s.idx }
 func (c *InOCore) fetch(now uint64) {
 	budget := c.cfg.Width
 	n := len(c.slots)
-	start := c.fetchRR
-	c.fetchRR = (c.fetchRR + 1) % n
+	idx := c.fetchRR
+	c.fetchRR = wrapInc(c.fetchRR, n)
 	fetchedAny := false
-	for k := 0; k < n && budget > 0; k++ {
-		s := c.slots[(start+k)%n]
+	for k := 0; k < n && budget > 0; k, idx = k+1, wrapInc(idx, n) {
+		s := c.slots[idx]
 		if !s.active || s.unavailableUntil > now || s.blockedUntil > now ||
 			s.fetchResumeAt > now || s.fetchBlocked {
 			continue

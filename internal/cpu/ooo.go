@@ -138,7 +138,18 @@ func (t *oooThread) pushFetch(in isa.Instr) {
 func (t *oooThread) replayLen() int { return len(t.replay) - t.replayHead }
 
 // robAt returns the entry at ring offset i from head (0 = oldest).
-func (t *oooThread) robAt(i int) *robEntry { return &t.rob[(t.head+i)%len(t.rob)] }
+// head < len(rob) and i <= len(rob), so one conditional subtraction
+// wraps the position.
+func (t *oooThread) robAt(i int) *robEntry { return &t.rob[t.ringPos(i)] }
+
+// ringPos returns the ROB index at ring offset i from head.
+func (t *oooThread) ringPos(i int) int {
+	p := t.head + i
+	if p >= len(t.rob) {
+		p -= len(t.rob)
+	}
+	return p
+}
 
 // OoOCore is the 4-wide out-of-order superscalar engine from Table I,
 // supporting one or more SMT threads with ICOUNT fetch, optional SMT+
@@ -288,9 +299,8 @@ func (c *OoOCore) Step(now uint64) {
 func (c *OoOCore) commit(now uint64) {
 	budget := c.cfg.Width
 	n := len(c.threads)
-	start := c.rrPtr
-	for k := 0; k < n && budget > 0; k++ {
-		tid := (start + k) % n
+	tid := c.rrPtr
+	for k := 0; k < n && budget > 0; k, tid = k+1, wrapInc(tid, n) {
 		t := c.threads[tid]
 		for budget > 0 && t.size > 0 {
 			e := t.robAt(0)
@@ -298,7 +308,7 @@ func (c *OoOCore) commit(now uint64) {
 				break
 			}
 			c.refund(t, e)
-			t.head = (t.head + 1) % len(t.rob)
+			t.head = wrapInc(t.head, len(t.rob))
 			t.size--
 			t.Stats.Retired++
 			c.Stats.TotalRetired++
@@ -392,10 +402,11 @@ func (c *OoOCore) issue(now uint64) {
 			}
 		}
 	} else {
-		start := c.rrPtr
-		c.rrPtr = (c.rrPtr + 1) % len(c.threads)
-		for k := range c.threads {
-			order = append(order, (start+k)%len(c.threads))
+		tid := c.rrPtr
+		c.rrPtr = wrapInc(c.rrPtr, len(c.threads))
+		for range c.threads {
+			order = append(order, tid)
+			tid = wrapInc(tid, len(c.threads))
 		}
 	}
 
@@ -511,9 +522,8 @@ func (c *OoOCore) issue(now uint64) {
 func (c *OoOCore) dispatch(now uint64) {
 	budget := c.cfg.Width
 	n := len(c.threads)
-	start := c.rrPtr
-	for k := 0; k < n && budget > 0; k++ {
-		tid := (start + k) % n
+	tid := c.rrPtr
+	for k := 0; k < n && budget > 0; k, tid = k+1, wrapInc(tid, n) {
 		t := c.threads[tid]
 		for budget > 0 && t.fetchLen() > 0 {
 			in := t.fetchBuf[t.fetchHead]
@@ -538,7 +548,7 @@ func (c *OoOCore) dispatch(now uint64) {
 				}
 			}
 			t.popFetch()
-			pos := (t.head + t.size) % len(t.rob)
+			pos := t.ringPos(t.size)
 			t.nextSeq++
 			e := &t.rob[pos]
 			*e = robEntry{seq: t.nextSeq, in: in, state: robWaiting}

@@ -201,12 +201,16 @@ type bspWorker struct {
 	codeBase uint64
 	pcIdx    uint64
 
-	localStep  int
-	phase      int // 0 contrib (PR only), 1 mid-barrier, 2 gather, 3 end-barrier
-	vCursor    int
-	inBarrier  bool
-	myMidGen   int
-	remoteSeen map[int32]struct{}
+	localStep int
+	phase     int // 0 contrib (PR only), 1 mid-barrier, 2 gather, 3 end-barrier
+	vCursor   int
+	inBarrier bool
+	myMidGen  int
+	// remoteSeen[line] == seenEpoch marks a remote line already fetched
+	// this superstep. Bumping seenEpoch at each rollover empties the set
+	// without touching (or reallocating) the array.
+	remoteSeen []uint32
+	seenEpoch  uint32
 	missCount  int
 
 	// Stats
@@ -219,7 +223,8 @@ func newBSPWorker(j *Job, id int) *bspWorker {
 		id:         id,
 		rng:        stats.NewRNG(j.cfg.Seed ^ (uint64(id+1) * 0x9e37)),
 		codeBase:   0x500000 + uint64(id)*0x11040,
-		remoteSeen: make(map[int32]struct{}),
+		remoteSeen: make([]uint32, remoteLine(uint64(j.g.N)*8)+1),
+		seenEpoch:  1,
 		vCursor:    id,
 	}
 	if j.cfg.Kernel == KernelSSSP {
@@ -282,6 +287,13 @@ func (w *bspWorker) park() {
 		RemoteNs: 300 + 400*w.rng.Float64()})
 }
 
+// remoteLine names the cache line of a shared-array address for the
+// per-superstep remote set. The low 32 bits of addr>>6 are kept: every
+// array base is a multiple of 2^38, so an element at base+u*8 maps to
+// line u>>3 whichever array it lives in (PageRank and SSSP touch one
+// array each, so the aliasing never merges two arrays' lines).
+func remoteLine(addr uint64) uint32 { return uint32(addr >> 6) }
+
 // touch handles an access to vertex u's shared data: local load for owned
 // vertices, batched RDMA for remote lines not yet cached this superstep.
 func (w *bspWorker) touch(base uint64, u int32) {
@@ -290,12 +302,12 @@ func (w *bspWorker) touch(base uint64, u int32) {
 		w.load(addr)
 		return
 	}
-	line := int32(addr >> 6)
-	if _, ok := w.remoteSeen[line]; ok {
+	line := remoteLine(addr)
+	if w.remoteSeen[line] == w.seenEpoch {
 		w.load(addr)
 		return
 	}
-	w.remoteSeen[line] = struct{}{}
+	w.remoteSeen[line] = w.seenEpoch
 	w.missCount++
 	if w.missCount%w.job.cfg.RemoteBatch == 1 || w.job.cfg.RemoteBatch == 1 {
 		w.remote(addr)
@@ -329,7 +341,11 @@ func (w *bspWorker) produce() {
 		}
 		w.vCursor = w.id
 		w.inBarrier = false
-		w.remoteSeen = make(map[int32]struct{})
+		w.seenEpoch++
+		if w.seenEpoch == 0 { // wrapped: stale stamps could match again
+			clear(w.remoteSeen)
+			w.seenEpoch = 1
+		}
 		w.missCount = 0
 	}
 	switch w.phase {

@@ -74,27 +74,29 @@ const RegNone RegID = 0
 // (16 GP + 16 XMM, flattened).
 const NumArchRegs = 33 // index 0 unused
 
-// Instr is one dynamic instruction.
+// Instr is one dynamic instruction. Fields are ordered widest first so
+// the struct packs into 40 bytes: pipelines copy an Instr on every
+// fetch, buffer push and issue.
 type Instr struct {
 	// PC is the (synthetic) program counter, used by branch predictors,
 	// the BTB, and the instruction cache.
 	PC uint64
+	// Addr is the effective address for OpLoad/OpStore.
+	Addr uint64
+	// Target is the actual next PC for a taken branch.
+	Target uint64
+	// RemoteNs is the device latency of an OpRemote in nanoseconds.
+	RemoteNs float64
 	// Op classifies the instruction.
 	Op OpClass
 	// Dst is the destination register (RegNone if none).
 	Dst RegID
 	// Src1 and Src2 are source registers (RegNone if absent).
 	Src1, Src2 RegID
-	// Addr is the effective address for OpLoad/OpStore.
-	Addr uint64
 	// Taken is the actual branch outcome for OpBranch.
 	Taken bool
-	// Target is the actual next PC for a taken branch.
-	Target uint64
 	// IsCall and IsReturn mark call/return branches for the RAS.
 	IsCall, IsReturn bool
-	// RemoteNs is the device latency of an OpRemote in nanoseconds.
-	RemoteNs float64
 	// EndOfRequest marks the last instruction of a service request;
 	// used for request-latency accounting on latency-critical threads.
 	EndOfRequest bool

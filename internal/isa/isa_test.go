@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"duplexity/internal/stats"
 )
@@ -259,5 +260,13 @@ func TestRecordReplay(t *testing.T) {
 		if in != tr[i%1000] {
 			t.Fatalf("replay mismatch at %d", i)
 		}
+	}
+}
+
+// TestInstrSize pins the packed layout: pipelines copy an Instr on every
+// fetch, buffer push and issue, so padding costs on every instruction.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 40 {
+		t.Fatalf("isa.Instr is %d bytes, want 40", n)
 	}
 }

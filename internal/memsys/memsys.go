@@ -198,30 +198,38 @@ func (p *Port) Access(now uint64, addr uint64, write bool) int {
 }
 
 // prefetch runs the stream trackers for an access to addr, installing the
-// next line when the access extends a recognized stream.
+// next line when the access extends a recognized stream. The first
+// tracker (in index order) whose expected line is within one of the
+// access decides: one line behind is a re-access within the current
+// line, already tracked; the expected line or the one after it (taken
+// branches hop over lines) confirms the stream. d = line - expected
+// wraps, so d+1 <= 2 is that three-line window in one unsigned test.
 func (p *Port) prefetch(addr uint64) {
 	line := addr >> 6
 	for i := range p.streams {
-		// Tolerate a one-line skip (taken branches hop over lines).
-		if line == p.streams[i] || line == p.streams[i]+1 {
-			// Stream confirmed: run two lines ahead (degree-2).
-			p.streams[i] = line + 1
-			for d := uint64(1); d <= 2; d++ {
-				next := (line + d) << 6
-				if !p.L1.Contains(next) {
-					p.L1.Access(next, false, p.Owner)
-					p.Shared.LLC.Access(next, false, p.Owner)
-				}
-			}
+		d := line - p.streams[i]
+		if d+1 > 2 {
+			continue
+		}
+		if d+1 == 0 {
 			return
 		}
-		if line+1 == p.streams[i] {
-			return // re-access within the current line: already tracked
+		// Stream confirmed: run two lines ahead (degree-2).
+		p.streams[i] = line + 1
+		for d := uint64(1); d <= 2; d++ {
+			next := (line + d) << 6
+			if !p.L1.Fill(next, p.Owner) {
+				p.Shared.LLC.Access(next, false, p.Owner)
+			}
 		}
+		return
 	}
 	// Unknown line: allocate a tracker expecting the following line.
 	p.streams[p.streamPtr] = line + 1
-	p.streamPtr = (p.streamPtr + 1) % len(p.streams)
+	p.streamPtr++
+	if p.streamPtr == len(p.streams) {
+		p.streamPtr = 0
+	}
 }
 
 // LocalPorts returns the I and D ports for a core accessing its own L1s.
