@@ -41,11 +41,11 @@ type InOSlot struct {
 	// whenever the head changes.
 	headWakeAt    uint64
 	fetchResumeAt uint64
-	// buf is consumed from bufHead (ring-head index: re-slicing with
-	// [1:] would shed backing-array capacity on every issue and force an
-	// allocation every few instructions).
+	// buf is the fetch buffer, a ring of bufN instructions starting at
+	// bufHead: pushes and pops move no other entry.
 	buf      []isa.Instr
 	bufHead  int
+	bufN     int
 	stream   isa.Stream
 	lastLine uint64
 	idx      int // position in InOCore.slots
@@ -59,28 +59,46 @@ type InOSlot struct {
 func (s *InOSlot) Active() bool { return s.active }
 
 // bufLen returns the fetch-buffer occupancy.
-func (s *InOSlot) bufLen() int { return len(s.buf) - s.bufHead }
+func (s *InOSlot) bufLen() int { return s.bufN }
 
 // popBuf removes and returns the oldest buffered instruction.
 func (s *InOSlot) popBuf() isa.Instr {
 	in := s.buf[s.bufHead]
-	s.bufHead++
-	if s.bufHead == len(s.buf) {
-		s.buf = s.buf[:0]
-		s.bufHead = 0
-	}
+	s.bufHead = wrapInc(s.bufHead, len(s.buf))
+	s.bufN--
 	return in
 }
 
-// pushBuf appends to the fetch buffer, compacting the consumed head
-// region instead of growing the backing array.
+// pushBuf appends to the fetch buffer. Fetch pushes only while fewer
+// than FetchBufEntries instructions are buffered, and the ring holds at
+// least that many, so it is never full here.
 func (s *InOSlot) pushBuf(in isa.Instr) {
-	if len(s.buf) == cap(s.buf) && s.bufHead > 0 {
-		n := copy(s.buf, s.buf[s.bufHead:])
-		s.buf = s.buf[:n]
-		s.bufHead = 0
+	i := s.bufHead + s.bufN
+	if i >= len(s.buf) {
+		i -= len(s.buf)
 	}
-	s.buf = append(s.buf, in)
+	s.buf[i] = in
+	s.bufN++
+}
+
+// pending appends the buffered instructions, oldest first, to dst.
+func (s *InOSlot) pending(dst []isa.Instr) []isa.Instr {
+	if end := s.bufHead + s.bufN; end <= len(s.buf) {
+		return append(dst, s.buf[s.bufHead:end]...)
+	}
+	dst = append(dst, s.buf[s.bufHead:]...)
+	return append(dst, s.buf[:s.bufHead+s.bufN-len(s.buf)]...)
+}
+
+// resetBuf makes instrs the buffer's contents, growing the ring if they
+// do not fit.
+func (s *InOSlot) resetBuf(instrs []isa.Instr) {
+	if len(instrs) > len(s.buf) {
+		s.buf = make([]isa.Instr, len(instrs))
+	}
+	copy(s.buf, instrs)
+	s.bufHead = 0
+	s.bufN = len(instrs)
 }
 
 // Blocked reports whether the slot is blocked on a remote op at now.
@@ -132,7 +150,7 @@ func NewInOCore(cfg PipelineConfig, nSlots int, iport, dport *memsys.Port, pred 
 	c := &InOCore{cfg: cfg, iport: iport, dport: dport, pred: pred}
 	c.slots = make([]*InOSlot, nSlots)
 	for i := range c.slots {
-		c.slots[i] = &InOSlot{idx: i, buf: make([]isa.Instr, 0, cfg.FetchBufEntries)}
+		c.slots[i] = &InOSlot{idx: i, buf: make([]isa.Instr, cfg.FetchBufEntries)}
 	}
 	return c, nil
 }
@@ -153,8 +171,7 @@ func (c *InOCore) Bind(slot int, stream isa.Stream, now, swapLat uint64) {
 	s := c.slots[slot]
 	s.stream = stream
 	s.active = true
-	s.buf = s.buf[:0]
-	s.bufHead = 0
+	s.bufHead, s.bufN = 0, 0
 	s.unavailableUntil = now + swapLat
 	s.blockedUntil = 0
 	s.fetchResumeAt = 0
@@ -180,11 +197,10 @@ func (c *InOCore) Unbind(slot int) (isa.Stream, []isa.Instr) {
 func (c *InOCore) UnbindInto(slot int, dst []isa.Instr) (isa.Stream, []isa.Instr) {
 	s := c.slots[slot]
 	st := s.stream
-	dst = append(dst, s.buf[s.bufHead:]...)
+	dst = s.pending(dst)
 	s.stream = nil
 	s.active = false
-	s.buf = s.buf[:0]
-	s.bufHead = 0
+	s.bufHead, s.bufN = 0, 0
 	return st, dst
 }
 
@@ -192,9 +208,7 @@ func (c *InOCore) UnbindInto(slot int, dst []isa.Instr) (isa.Stream, []isa.Instr
 // pending instructions. Call immediately after Bind.
 func (c *InOCore) Preload(slot int, instrs []isa.Instr) {
 	s := c.slots[slot]
-	s.buf = s.buf[:0]
-	s.bufHead = 0
-	s.buf = append(s.buf, instrs...)
+	s.resetBuf(instrs)
 	s.headWakeAt = 0
 }
 
