@@ -324,3 +324,23 @@ func TestBSPStreamGolden(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFillerSetNext measures the BSP generator alone: ns per
+// instruction drawn round-robin from the matrix campaign's filler set
+// (32 workers over a 4096-vertex power-law graph), superstep rollovers
+// included. Steady state must not allocate.
+func BenchmarkFillerSetNext(b *testing.B) {
+	g := MustGenPowerLaw(4096, 12, 0.5, 1)
+	streams, _, _, err := NewFillerSet(g, 32, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1_000_000; i++ {
+		streams[i%len(streams)].Next(0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		streams[i%len(streams)].Next(0)
+	}
+}
