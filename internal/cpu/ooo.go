@@ -138,11 +138,11 @@ func (t *oooThread) pushFetch(in isa.Instr) {
 func (t *oooThread) replayLen() int { return len(t.replay) - t.replayHead }
 
 // robAt returns the entry at ring offset i from head (0 = oldest).
-// head < len(rob) and i <= len(rob), so one conditional subtraction
-// wraps the position.
 func (t *oooThread) robAt(i int) *robEntry { return &t.rob[t.ringPos(i)] }
 
-// ringPos returns the ROB index at ring offset i from head.
+// ringPos returns the ROB index at ring offset i from head. Callers pass
+// i <= len(rob) and head < len(rob), so one conditional subtraction
+// wraps the position.
 func (t *oooThread) ringPos(i int) int {
 	p := t.head + i
 	if p >= len(t.rob) {

@@ -17,10 +17,10 @@ func promSnapshot() Snapshot {
 	s.Counter("shed.queue_full").Add(1)
 	s.Gauge("queue.depth").Set(3.5)
 	h := s.Histogram("latency_us")
-	h.Observe(0)  // bucket 0: le=0
-	h.Observe(1)  // bucket 1: [1,2) → le=1
-	h.Observe(5)  // bucket 3: [4,8) → le=7
-	h.Observe(5)  //
+	h.Observe(0)          // bucket 0: le=0
+	h.Observe(1)          // bucket 1: [1,2) → le=1
+	h.Observe(5)          // bucket 3: [4,8) → le=7
+	h.Observe(5)          //
 	h.Observe(^uint64(0)) // saturating top bucket → +Inf only
 	return reg.Snapshot(0)
 }

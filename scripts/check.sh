@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # check.sh — the repo's pre-merge gate:
 #
-#   1. go vet ./...
-#   2. go build ./...
-#   3. go test -race on the telemetry, core, campaign, expt, serve,
+#   1. gofmt -l . (any listed file fails the gate)
+#   2. go vet ./...
+#   3. go build ./...
+#   4. go test -race on the telemetry, core, campaign, expt, serve,
 #      and fleet packages plus the root e2e tests
-#   4. the energyprop and twophase end-to-end smoke scripts
-#   5. a telemetry-overhead guard benchmark
+#   5. the energyprop and twophase end-to-end smoke scripts
+#   6. a telemetry-overhead guard benchmark
 #
 # The guard compares BenchmarkDyadCycleRate (nil sink: every instrumented
 # site takes its one-nil-check fast path) against BenchmarkDyadTelemetry
@@ -20,6 +21,14 @@
 # set CHECK_SKIP_BENCH=1 to skip the benchmark on loaded CI machines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt: these files need formatting:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
