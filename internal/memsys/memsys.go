@@ -212,12 +212,12 @@ func (p *Port) prefetch(addr uint64) {
 			continue
 		}
 		if d+1 == 0 {
-			return
+			return // one line behind: already tracked
 		}
 		// Stream confirmed: run two lines ahead (degree-2).
 		p.streams[i] = line + 1
-		for d := uint64(1); d <= 2; d++ {
-			next := (line + d) << 6
+		for ahead := uint64(1); ahead <= 2; ahead++ {
+			next := (line + ahead) << 6
 			if !p.L1.Fill(next, p.Owner) {
 				p.Shared.LLC.Access(next, false, p.Owner)
 			}
