@@ -146,10 +146,10 @@ func TestDyadBSPZeroAlloc(t *testing.T) {
 	}
 	for _, design := range []Design{DesignBaseline, DesignDuplexity} {
 		d, pr, ss := benchDyadBSP(t, design, ExecEvent)
-		// Two supersteps of both jobs: every worker's instruction queue
-		// has reached the longest gather its shard emits.
 		// Supersteps completed (NewFillerSet jobs run 10 per kernel run).
 		steps := func(j *graphwl.Job) uint64 { return j.Runs*10 + uint64(j.Superstep()) }
+		// Warm up through two supersteps of both jobs, so every worker's
+		// instruction queue has reached the longest gather its shard emits.
 		for d.Now() < 2_000_000 || steps(pr) < 2 || steps(ss) < 2 {
 			d.Run(100_000)
 		}
