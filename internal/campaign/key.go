@@ -47,23 +47,46 @@ type Key struct {
 // Digest returns the cell's content address: the SHA-256 hex digest of
 // a versioned canonical encoding of the key. Floats are encoded with
 // strconv 'g'/-1, the shortest representation that round-trips, so the
-// encoding is exact and platform-independent.
+// encoding is exact and platform-independent. The encoding is built
+// with append into a stack buffer (a served warm hit digests several
+// keys); key_test.go keeps the original fmt form as its reference.
 func (k Key) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "campaign-key-v1\n")
-	fmt.Fprintf(h, "kind=%s\nmodel=%s\ndesign=%s\nworkload=%s\nspec=%s\n",
-		k.Kind, k.Model, k.Design, k.Workload, k.Spec)
+	var buf [256]byte
+	b := append(buf[:0], "campaign-key-v1\n"...)
+	b = appendField(b, "kind=", k.Kind)
+	b = appendField(b, "model=", k.Model)
+	b = appendField(b, "design=", k.Design)
+	b = appendField(b, "workload=", k.Workload)
+	b = appendField(b, "spec=", k.Spec)
 	if k.Governor != "" {
-		fmt.Fprintf(h, "governor=%s\n", k.Governor)
+		b = appendField(b, "governor=", k.Governor)
 	}
 	if k.Lambda != 0 {
-		fmt.Fprintf(h, "lambda=%s\n", strconv.FormatFloat(k.Lambda, 'g', -1, 64))
+		b = appendFloat(b, "lambda=", k.Lambda)
 	}
-	fmt.Fprintf(h, "load=%s\nscale=%s\nseed=%d\n",
-		strconv.FormatFloat(k.Load, 'g', -1, 64),
-		strconv.FormatFloat(k.Scale, 'g', -1, 64),
-		k.Seed)
-	return hex.EncodeToString(h.Sum(nil))
+	b = appendFloat(b, "load=", k.Load)
+	b = appendFloat(b, "scale=", k.Scale)
+	b = append(b, "seed="...)
+	b = strconv.AppendUint(b, k.Seed, 10)
+	b = append(b, '\n')
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendField appends one "name=value\n" line of the key encoding.
+func appendField(b []byte, name, v string) []byte {
+	b = append(b, name...)
+	b = append(b, v...)
+	return append(b, '\n')
+}
+
+// appendFloat appends one float line in its shortest round-trip form.
+func appendFloat(b []byte, name string, v float64) []byte {
+	b = append(b, name...)
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	return append(b, '\n')
 }
 
 // DigestOf fingerprints an arbitrary configuration value for use as

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"duplexity/internal/campaign"
@@ -104,9 +105,47 @@ func KnownDesignNames() []string {
 	return names
 }
 
+// workloadTable is the Section V workload suite: the canonical specs
+// in paper order, each with its campaign fingerprint
+// (campaign.DigestOf of the spec).
+type workloadTable struct {
+	specs   []*workload.Spec
+	digests []string
+}
+
+// suiteWorkloads builds the workload table once per process. The specs
+// and their fingerprints are constants, and a served warm hit builds
+// several cell keys, so neither is rebuilt per request. The specs are
+// shared by every goroutine that resolves a cell, so they are
+// read-only: nothing may write through these pointers.
+var suiteWorkloads = sync.OnceValue(func() workloadTable {
+	specs := workload.Microservices()
+	digests := make([]string, len(specs))
+	for i, spec := range specs {
+		digests[i] = campaign.DigestOf(*spec)
+	}
+	return workloadTable{specs: specs, digests: digests}
+})
+
+// suiteSpecs returns the shared Section V specs in paper order.
+func suiteSpecs() []*workload.Spec { return suiteWorkloads().specs }
+
+// specDigest returns a spec's campaign fingerprint: the stored one for
+// a table spec (matched by pointer), else campaign.DigestOf, so a
+// private or edited spec is fingerprinted by its own contents.
+func specDigest(spec *workload.Spec) string {
+	t := suiteWorkloads()
+	for i, p := range t.specs {
+		if p == spec {
+			return t.digests[i]
+		}
+	}
+	return campaign.DigestOf(*spec)
+}
+
 // KnownWorkloadNames lists the Section V microservices in suite order.
 func KnownWorkloadNames() []string {
-	specs := workload.Microservices()
+	specs := suiteSpecs()
 	names := make([]string, len(specs))
 	for i, s := range specs {
 		names[i] = s.Name
@@ -115,7 +154,7 @@ func KnownWorkloadNames() []string {
 }
 
 func workloadByName(name string) *workload.Spec {
-	for _, s := range workload.Microservices() {
+	for _, s := range suiteSpecs() {
 		if s.Name == name {
 			return s
 		}

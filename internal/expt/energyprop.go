@@ -274,7 +274,7 @@ func (s *Suite) energyTwoPhase(design core.Design, spec *workload.Spec, govName 
 func (s *Suite) energyTasks() []campaign.Task[energyCell] {
 	var tasks []campaign.Task[energyCell]
 	for _, combo := range EnergyCombos() {
-		for _, spec := range workload.Microservices() {
+		for _, spec := range suiteSpecs() {
 			for _, load := range EnergyLoads {
 				combo, spec, load := combo, spec, load
 				t := campaign.Task[energyCell]{
@@ -336,7 +336,7 @@ func (s *Suite) EnergyProp() (*Table, error) {
 		Columns: []string{"workload", "load", "design/governor", "util", "idle_frac",
 			"avg_W", "idle_W", "uJ/req", "batch_GIPS", "p99_us"},
 	}
-	for _, spec := range workload.Microservices() {
+	for _, spec := range suiteSpecs() {
 		for _, load := range EnergyLoads {
 			for _, combo := range EnergyCombos() {
 				c, ok := byKey[fmt.Sprintf("%s|%v|%v|%s", spec.Name, load, combo.Design, combo.Governor)]
@@ -355,7 +355,7 @@ func (s *Suite) EnergyProp() (*Table, error) {
 	// deep idle draws less power while idle but pays for it in the tail.
 	var deepIdleW, fillIdleW, deepP99, fillP99 float64
 	var n int
-	for _, spec := range workload.Microservices() {
+	for _, spec := range suiteSpecs() {
 		deep, okD := byKey[fmt.Sprintf("%s|%v|%v|%s", spec.Name, 0.5, core.DesignBaseline, idle.GovDeep)]
 		fill, okF := byKey[fmt.Sprintf("%s|%v|%v|%s", spec.Name, 0.5, core.DesignDuplexity, idle.GovFill)]
 		if okD && okF && fill.P99Us > 0 {

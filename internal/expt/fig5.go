@@ -29,7 +29,7 @@ func (s *Suite) perCellTable(title string, value func(cell) float64, format func
 	}
 	t := &Table{Title: title, Columns: designColumns("workload@load")}
 	perDesign := make(map[core.Design][]float64)
-	for _, spec := range workload.Microservices() {
+	for _, spec := range suiteSpecs() {
 		for _, load := range Loads {
 			row := []string{fmt.Sprintf("%s@%d%%", spec.Name, int(load*100))}
 			for _, d := range core.AllDesigns {
@@ -168,7 +168,7 @@ func (s *Suite) tailP99(design core.Design, spec *workload.Spec, load, lambdaQPS
 func (s *Suite) tailTable(title string, notes []string, p99 func(d core.Design, spec *workload.Spec, load float64) (float64, error)) (*Table, error) {
 	t := &Table{Title: title, Columns: designColumns("workload@load"), Notes: notes}
 	perDesign := make(map[core.Design][]float64)
-	for _, spec := range workload.Microservices() {
+	for _, spec := range suiteSpecs() {
 		for _, load := range Loads {
 			base, err := p99(core.DesignBaseline, spec, load)
 			if err != nil {
@@ -298,7 +298,7 @@ func (s *Suite) Fig5e() (*Table, error) {
 		})
 	}
 	var tasks []campaign.Task[tailCell]
-	for _, spec := range workload.Microservices() {
+	for _, spec := range suiteSpecs() {
 		for _, load := range Loads {
 			for _, d := range core.AllDesigns {
 				tasks = append(tasks, s.tailTask(d, spec, load, isoLambda(d, spec, load)))

@@ -47,7 +47,7 @@ func (s *Suite) cellKey(kind string, design core.Design, spec *workload.Spec, lo
 		Model:    core.ModelVersion,
 		Design:   design.String(),
 		Workload: spec.Name,
-		Spec:     campaign.DigestOf(*spec),
+		Spec:     specDigest(spec),
 		Governor: governor,
 		Load:     load,
 		Scale:    s.opts.Scale,
@@ -137,7 +137,7 @@ func (s *Suite) runCell(design core.Design, spec *workload.Spec, load float64) (
 func (s *Suite) matrixTasks() []campaign.Task[cell] {
 	var tasks []campaign.Task[cell]
 	for _, design := range core.AllDesigns {
-		for _, spec := range workload.Microservices() {
+		for _, spec := range suiteSpecs() {
 			for _, load := range Loads {
 				design, spec, load := design, spec, load
 				tasks = append(tasks, campaign.Task[cell]{
@@ -220,7 +220,7 @@ func (s *Suite) Slowdowns() (map[slowKey]float64, error) {
 		return nil, s.slowdownsErr
 	}
 
-	specs := workload.Microservices()
+	specs := suiteSpecs()
 	var tasks []campaign.Task[float64]
 	for _, spec := range specs {
 		for _, design := range core.AllDesigns {

@@ -5,7 +5,6 @@ import (
 
 	"duplexity/internal/core"
 	"duplexity/internal/power"
-	"duplexity/internal/workload"
 )
 
 // Table1 regenerates Table I: the microarchitecture configuration.
@@ -49,7 +48,7 @@ func (s *Suite) Workloads() *Table {
 		Title:   "Section V workloads",
 		Columns: []string{"microservice", "service (µs)", "stall (µs)", "capacity (QPS)"},
 	}
-	for _, w := range workload.Microservices() {
+	for _, w := range suiteSpecs() {
 		t.AddRow(w.Name, f1(w.NominalServiceUs), f1(w.StallUs), fmt.Sprintf("%.0f", w.CapacityQPS()))
 	}
 	return t
@@ -66,7 +65,7 @@ func (s *Suite) ServiceSlowdowns() (*Table, error) {
 		Title:   "Measured service-time slowdown vs Baseline (saturated closed loop)",
 		Columns: designColumns("workload"),
 	}
-	for _, spec := range workload.Microservices() {
+	for _, spec := range suiteSpecs() {
 		row := []string{spec.Name}
 		for _, d := range core.AllDesigns {
 			row = append(row, f2(slows[slowKey{d, spec.Name}]))

@@ -191,7 +191,7 @@ func (s *Suite) tailTask(design core.Design, spec *workload.Spec, load, lambdaQP
 // up with Figure 5(d) rows.
 func (s *Suite) tailMatrixTasks() []campaign.Task[tailCell] {
 	var tasks []campaign.Task[tailCell]
-	for _, spec := range workload.Microservices() {
+	for _, spec := range suiteSpecs() {
 		for _, load := range Loads {
 			lambda := spec.QPSAtLoad(load)
 			for _, design := range core.AllDesigns {
@@ -223,7 +223,7 @@ func (s *Suite) TailMatrix() (*Table, error) {
 		},
 	}
 	i := 0
-	for _, spec := range workload.Microservices() {
+	for _, spec := range suiteSpecs() {
 		for _, load := range Loads {
 			row := []string{fmt.Sprintf("%s@%d%%", spec.Name, int(load*100))}
 			for range core.AllDesigns {

@@ -60,6 +60,14 @@ go test -race -timeout 15m ./internal/campaign ./internal/expt
 go test -race -timeout 15m \
     -run 'TestLegacyDigestPinned|TestLambdaZeroKeepsLegacyDigest|TestTwoPhaseDigestsPinned|TestTwoPhaseByteIdentity|TestTwoPhaseMicroComputedOnce|TestTwoPhaseWarmAndGridChange|TestTwoPhaseSingleflight' \
     ./internal/campaign ./internal/expt
+# Served cells share one process-wide table of Section V workload specs
+# and fingerprints across goroutines. The read-only guard, the served
+# key and entry identity tests and the address pins are named
+# explicitly so a -run tweak above can never drop them from the raced
+# gate.
+go test -race -timeout 15m \
+    -run 'TestSuiteWorkloadsReadOnly|TestSpecDigestsPinned|TestServedKeyMatchesCLI|TestRunServedMatchesCLIEntry|TestTailServedKeyDefaults' \
+    ./internal/expt
 # The serving layer is the most concurrency-dense package in the repo
 # (admission, coalescing, drain, panic isolation all cross goroutines);
 # its whole suite, including the real-simulator e2e tests, runs raced.
