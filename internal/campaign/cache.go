@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -59,15 +60,36 @@ func (c *Cache) Get(digest string) (json.RawMessage, bool) {
 // worker ships back to its coordinator, so the coordinator can store an
 // identical entry. Miss semantics match Get.
 func (c *Cache) GetEntry(digest string) (Entry, bool) {
-	data, err := os.ReadFile(c.entryPath(digest))
+	data, err := c.read(digest)
 	if err != nil {
 		return Entry{}, false
 	}
 	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil || len(e.Result) == 0 {
+	if DecodeEntry(data, &e) != nil {
 		return Entry{}, false
 	}
 	return e, true
+}
+
+// read returns the bytes of a digest's entry file.
+func (c *Cache) read(digest string) ([]byte, error) {
+	return os.ReadFile(c.entryPath(digest))
+}
+
+// errNoResult rejects an entry whose envelope carries no result.
+var errNoResult = errors.New("campaign: cache entry has no result")
+
+// DecodeEntry decodes the bytes of an entry file. An entry that does
+// not decode, or that carries no result, is an error: the cache treats
+// it as a miss, and the recomputed entry overwrites it.
+func DecodeEntry(data []byte, e *Entry) error {
+	if err := json.Unmarshal(data, e); err != nil {
+		return err
+	}
+	if len(e.Result) == 0 {
+		return errNoResult
+	}
+	return nil
 }
 
 // Put stores an entry under its digest, atomically.

@@ -14,9 +14,9 @@
 // Cells are keyed by a SHA-256 digest over the cell's full input
 // (design, workload-spec fingerprint, load, scale, seed, and a
 // model-version string). With a cache directory configured, each
-// completed cell is journaled to disk as it finishes: repeated runs and
-// overlapping figures skip simulation entirely, and a killed campaign
-// resumes where it left off instead of starting over.
+// computed cell is stored and journaled as it finishes: repeated runs
+// and overlapping figures skip simulation entirely, and a killed
+// campaign resumes where it left off instead of starting over.
 package campaign
 
 import (
@@ -140,7 +140,8 @@ func (e *Engine) Lookup(k Key) (Entry, bool) {
 }
 
 // Stats snapshots the engine's cache and wall-time accounting, with one
-// Timings row per completed cell.
+// Timings row per cell computed locally or resolved by a remote (a
+// local cache hit is counted but adds no row).
 func (e *Engine) Stats() Summary {
 	s := e.stats.summary(true)
 	s.Workers = e.workers
@@ -148,7 +149,7 @@ func (e *Engine) Stats() Summary {
 }
 
 // Counters is Stats without Timings: its cost does not grow with the
-// number of cells served, so a long-lived daemon can take it on every
+// number of cells computed, so a long-lived daemon can take it on every
 // request.
 func (e *Engine) Counters() Summary {
 	s := e.stats.summary(false)
@@ -173,7 +174,7 @@ type Task[R any] struct {
 // Run executes tasks on the engine's worker pool and returns their
 // results in submission order. Cells whose digest is already in the
 // cache are decoded instead of simulated and counted as hits; computed
-// cells are journaled to the cache as they finish, so an interrupted
+// cells are stored in the cache as they finish, so an interrupted
 // batch resumes from its completed cells. On failure Run returns the
 // error of the lowest-index failing task (deterministic at any worker
 // count); remaining queued cells are abandoned, but cells already
@@ -232,7 +233,7 @@ func Do[R any](e *Engine, t Task[R]) (R, bool, error) {
 }
 
 // runOne resolves one cell: cache probe, then simulation plus
-// journaling on a miss. The bool reports a cache hit.
+// storing and journaling on a miss. The bool reports a cache hit.
 func runOne[R any](e *Engine, t Task[R]) (R, bool, error) {
 	var zero R
 	var ent Entry
@@ -283,9 +284,9 @@ func (e *Engine) DoRaw(k Key, run func() (json.RawMessage, error)) (Entry, bool,
 // DoRawTraced is DoRaw with per-stage tracing: the cache probe, remote
 // dispatch, local compute, and cache-write serialization each record a
 // span on tr (nil tr: untraced, zero extra work). The stage breakdown
-// is also journaled with the completion. Tracing never changes what is
-// computed or cached — entries and results are byte-identical with tr
-// nil or not.
+// is also journaled with a computed or remote completion. Tracing never
+// changes what is computed or cached — entries and results are
+// byte-identical with tr nil or not.
 func (e *Engine) DoRawTraced(k Key, run func() (json.RawMessage, error), tr *telemetry.CellTrace) (Entry, bool, error) {
 	return e.DoRawDeadline(k, run, tr, time.Time{})
 }
@@ -297,15 +298,8 @@ func (e *Engine) DoRawTraced(k Key, run func() (json.RawMessage, error), tr *tel
 // computed or cached — only where and how eagerly.
 func (e *Engine) DoRawDeadline(k Key, run func() (json.RawMessage, error), tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
 	digest := k.Digest()
-
-	if e.cache != nil {
-		probe := time.Now()
-		if ent, ok := e.cache.GetEntry(digest); ok {
-			tr.StageDetail(telemetry.StageCache, probe, "hit")
-			e.finish(k, digest, true, false, 0, tr)
-			return ent, true, nil
-		}
-		tr.StageDetail(telemetry.StageCache, probe, "miss")
+	if ent, ok := e.hitEntry(digest, false, tr); ok {
+		return ent, true, nil
 	}
 
 	if e.remote != nil {
@@ -365,8 +359,46 @@ func (e *Engine) DoRawDeadline(k Key, run func() (json.RawMessage, error), tr *t
 	return ent, false, nil
 }
 
-// finish records accounting and journals the completion (with the
-// traced per-stage breakdown, when there is one).
+// Hit answers a cell from the local cache on the caller's goroutine: it
+// reads the cell's entry file once and hands the bytes to decode. A
+// missing file, or bytes decode rejects, is a miss; a miss records
+// nothing, since whatever resolves the cell next records it. A hit
+// records a cache span with detail "hit" on tr and counts in Hits (and
+// in QueueingHits when twoPhase is set). Hits are counted, never
+// journaled, and add no Timings row. This is the engine's one cache
+// probe: DoRaw and DoRawTwoPhase call it first, and a serving layer
+// calls it directly to answer a warm hit without a pool hand-off.
+func (e *Engine) Hit(digest string, twoPhase bool, tr *telemetry.CellTrace, decode func(entry []byte) error) bool {
+	if e.cache == nil {
+		return false
+	}
+	probe := time.Now()
+	data, err := e.cache.read(digest)
+	if err != nil || decode(data) != nil {
+		return false
+	}
+	tr.StageDetail(telemetry.StageCache, probe, "hit")
+	e.stats.recordHit(twoPhase)
+	return true
+}
+
+// hitEntry is Hit decoding the whole envelope. On a miss it records
+// the cache span with detail "miss" (when there is a cache to probe).
+func (e *Engine) hitEntry(digest string, twoPhase bool, tr *telemetry.CellTrace) (Entry, bool) {
+	var ent Entry
+	probe := time.Now()
+	if e.Hit(digest, twoPhase, tr, func(data []byte) error { return DecodeEntry(data, &ent) }) {
+		return ent, true
+	}
+	if e.cache != nil {
+		tr.StageDetail(telemetry.StageCache, probe, "miss")
+	}
+	return Entry{}, false
+}
+
+// finish records the accounting of a computed or remote cell and
+// journals its completion (with the traced per-stage breakdown, when
+// there is one).
 func (e *Engine) finish(k Key, digest string, cached, remote bool, wall float64, tr *telemetry.CellTrace) {
 	seq := e.stats.record(CellTiming{
 		Kind: k.Kind, Design: k.Design, Workload: k.Workload, Load: k.Load,

@@ -8,20 +8,29 @@ import (
 	"sync"
 )
 
-// JournalEntry is one line of the completion journal: which cell
-// finished, whether it came from cache, and what it cost. The journal
-// is an append-only audit trail of campaign progress across runs —
-// resume correctness comes from the content-addressed cache entries,
-// not from the journal, so the journal can be deleted at any time.
+// JournalEntry is one line of the completion journal. The journal
+// records work done or lost: a cell computed here (Cached false), a
+// cell resolved by a remote worker (Remote set; Cached then reports the
+// worker's cache), and a cell admitted but never finished (Status set).
+// A local cache hit is not journaled; it is counted in the engine's
+// Summary (Hits, QueueingHits, MicrosimHits), so a warm daemon's journal
+// grows with the work it does, not with the requests it answers. The
+// journal is an append-only audit trail of campaign progress across
+// runs — resume correctness comes from the content-addressed cache
+// entries, not from the journal, so the journal can be deleted at any
+// time.
 type JournalEntry struct {
 	// Seq is the completion sequence number within one engine's
-	// lifetime (completion order, not submission order).
-	Seq         int     `json:"seq"`
-	Digest      string  `json:"digest"`
-	Kind        string  `json:"kind"`
-	Design      string  `json:"design"`
-	Workload    string  `json:"workload"`
-	Load        float64 `json:"load"`
+	// lifetime (completion order, not submission order), counting
+	// journaled lines only.
+	Seq      int     `json:"seq"`
+	Digest   string  `json:"digest"`
+	Kind     string  `json:"kind"`
+	Design   string  `json:"design"`
+	Workload string  `json:"workload"`
+	Load     float64 `json:"load"`
+	// Cached is false for a locally computed cell; it is true only on
+	// a remote line whose worker answered from its own cache.
 	Cached      bool    `json:"cached"`
 	Remote      bool    `json:"remote,omitempty"`
 	WallSeconds float64 `json:"wall_seconds"`

@@ -3,8 +3,9 @@ package campaign
 import "sync"
 
 // CellTiming is the per-cell accounting row surfaced in run manifests:
-// which cell, whether the cache answered it, and the simulation wall
-// time (0 for cache hits).
+// which cell, whether a remote worker's cache answered it, and the
+// simulation wall time. Rows exist only for cells computed locally or
+// resolved by a remote; a local cache hit adds none.
 type CellTiming struct {
 	Kind     string  `json:"kind"`
 	Design   string  `json:"design"`
@@ -52,7 +53,10 @@ type Summary struct {
 	// workers this exceeds elapsed wall time — that surplus is the
 	// parallelism win.
 	SimWallSeconds float64 `json:"sim_wall_seconds"`
-	// Timings lists every completed cell in completion order.
+	// Timings lists every cell computed locally or resolved by a
+	// remote, in completion order. Local cache hits are counted in Hits
+	// and add no row, so a long-lived daemon's rows grow with the work
+	// it did, not with the requests it answered.
 	Timings []CellTiming `json:"timings,omitempty"`
 }
 
@@ -84,8 +88,8 @@ func (s *Stats) setPrior(n int) {
 	s.prior = n
 }
 
-// record logs one completed cell and returns its completion sequence
-// number.
+// record logs one cell computed locally or resolved by a remote and
+// returns its journal sequence number.
 func (s *Stats) record(t CellTiming) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -103,6 +107,18 @@ func (s *Stats) record(t CellTiming) int {
 	return s.seq
 }
 
+// recordHit counts one local cache hit (and its queueing-layer hit for
+// a two-phase cell). A hit takes no sequence number: it is not
+// journaled.
+func (s *Stats) recordHit(twoPhase bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hits++
+	if twoPhase {
+		s.queueHits++
+	}
+}
+
 // recordIncomplete logs a cancelled or panicked cell and returns its
 // journal sequence number.
 func (s *Stats) recordIncomplete() int {
@@ -114,16 +130,16 @@ func (s *Stats) recordIncomplete() int {
 }
 
 // recordMicro logs one phase-1 micro-sim resolution and returns its
-// journal sequence number. Micro-sim wall time is real compute and
-// counts toward SimWallSeconds.
+// journal sequence number (0 for a hit, which is not journaled).
+// Micro-sim wall time is real compute and counts toward SimWallSeconds.
 func (s *Stats) recordMicro(hit bool, wall float64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if hit {
 		s.microHits++
-	} else {
-		s.microMiss++
+		return 0
 	}
+	s.microMiss++
 	s.simWall += wall
 	s.seq++
 	return s.seq

@@ -67,22 +67,26 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 		t.Error("warm cell recorded a compute span")
 	}
 
-	// The journal's cold-cell line carries the µs stage breakdown.
+	// The journal's cold-cell line carries the µs stage breakdown; the
+	// warm hit is counted, not journaled, so its stages live only on
+	// its trace.
 	lines, err := ReadJournal(e.cache.JournalPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("journal lines = %d, want 2", len(lines))
+	if len(lines) != 1 {
+		t.Fatalf("journal lines = %d, want 1 (the computed cell)", len(lines))
 	}
 	if lines[0].StagesUs == nil {
 		t.Fatal("cold journal line has no stages_us")
 	}
-	if _, ok := lines[0].StagesUs[telemetry.StageCompute]; !ok {
-		t.Errorf("cold stages_us = %v, want a compute key", lines[0].StagesUs)
+	for _, want := range []string{telemetry.StageCache, telemetry.StageCompute} {
+		if _, ok := lines[0].StagesUs[want]; !ok {
+			t.Errorf("cold stages_us = %v, want a %s key", lines[0].StagesUs, want)
+		}
 	}
-	if _, ok := lines[1].StagesUs[telemetry.StageCache]; !ok {
-		t.Errorf("warm stages_us = %v, want a cache key", lines[1].StagesUs)
+	if st := e.Counters(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("counters hits=%d misses=%d, want 1 and 1", st.Hits, st.Misses)
 	}
 
 	// Byte-identity: an untraced engine over a fresh cache produces the

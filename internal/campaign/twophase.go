@@ -87,16 +87,8 @@ func (e *Engine) DoRawTwoPhase(k Key, tp *TwoPhase, tr *telemetry.CellTrace, dea
 		return Entry{}, false, fmt.Errorf("campaign: two-phase cell without a queue stage")
 	}
 	digest := k.Digest()
-
-	if e.cache != nil {
-		probe := time.Now()
-		if ent, ok := e.cache.GetEntry(digest); ok {
-			tr.StageDetail(telemetry.StageCache, probe, "hit")
-			e.stats.recordQueueing(true)
-			e.finishLayer(k, digest, true, false, 0, tr, tp)
-			return ent, true, nil
-		}
-		tr.StageDetail(telemetry.StageCache, probe, "miss")
+	if ent, ok := e.hitEntry(digest, true, tr); ok {
+		return ent, true, nil
 	}
 
 	if e.remote != nil {
@@ -162,8 +154,8 @@ func (e *Engine) DoRawTwoPhase(k Key, tp *TwoPhase, tr *telemetry.CellTrace, dea
 }
 
 // resolveMicro resolves one phase-1 dependency: in-memory memo, disk
-// cache, singleflight join, then simulation (journaled into the cache
-// like any other cell). Micro-sim wall time counts toward the engine's
+// cache, singleflight join, then simulation (stored and journaled like
+// any other computed cell). Micro-sim wall time counts toward the engine's
 // SimWallSeconds — it is real compute — but micro resolutions are
 // accounted in their own per-layer counters, never in the legacy
 // Cells/Hits/Misses totals (those still count whole cells).
@@ -234,10 +226,10 @@ func (e *Engine) computeMicro(mt MicroTask, digest string, tr *telemetry.CellTra
 }
 
 // finishMicro records one phase-1 resolution in the per-layer counters
-// and the journal.
+// and journals it when it was computed.
 func (e *Engine) finishMicro(k Key, digest string, cached bool, wall float64) {
 	seq := e.stats.recordMicro(cached, wall)
-	if e.journal != nil {
+	if e.journal != nil && !cached {
 		_ = e.journal.Append(JournalEntry{
 			Seq: seq, Digest: digest, Kind: k.Kind,
 			Design: k.Design, Workload: k.Workload, Load: k.Load,
@@ -247,11 +239,11 @@ func (e *Engine) finishMicro(k Key, digest string, cached bool, wall float64) {
 	}
 }
 
-// finishLayer is finish for a two-phase cell: the legacy accounting
-// (the cell still counts once in Cells/Hits/Misses, so dashboards and
-// manifests that predate the split keep reading correctly) plus the
-// queueing-layer journal annotation and the phase-1 digests the cell
-// was derived from.
+// finishLayer is finish for a computed or remote two-phase cell: the
+// legacy accounting (the cell still counts once in Cells/Hits/Misses,
+// so dashboards and manifests that predate the split keep reading
+// correctly) plus the queueing-layer journal annotation and the phase-1
+// digests the cell was derived from.
 func (e *Engine) finishLayer(k Key, digest string, cached, remote bool, wall float64, tr *telemetry.CellTrace, tp *TwoPhase) {
 	seq := e.stats.record(CellTiming{
 		Kind: k.Kind, Design: k.Design, Workload: k.Workload, Load: k.Load,

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -268,39 +269,260 @@ type RawCellResult struct {
 // journaling).
 func (s *Suite) Engine() *campaign.Engine { return s.eng }
 
-// servedKeyFor resolves a validated spec to its campaign key plus the
-// parsed design, workload, and effective arrival rate (tail cells with
-// Lambda 0 default to the workload's nominal rate at the load, exactly
-// as the CLI figure path does — so the defaulted request and the CLI
-// cell share one cache entry).
-func (s *Suite) servedKeyFor(cs CellSpec) (campaign.Key, core.Design, *workload.Spec, float64) {
-	design, _ := ParseDesign(cs.Design)
-	spec := workloadByName(cs.Workload)
-	if cs.Kind == KindTail {
-		lambda := cs.Lambda
-		if lambda == 0 {
-			lambda = spec.QPSAtLoad(cs.Load)
-		}
-		return s.tailKey(design, spec, cs.Load, lambda), design, spec, lambda
+// Resolved is a validated served cell resolved once: its campaign key
+// and digest, plus the parsed design, workload spec and effective
+// arrival rate its computation needs. The serving layer resolves each
+// request once and hands the result to ServeHit and RunResolved, which
+// take it as given: neither validates, looks up or hashes again.
+type Resolved struct {
+	Spec   CellSpec
+	Key    campaign.Key
+	Digest string
+
+	design core.Design
+	wl     *workload.Spec
+	lambda float64
+	// twoPhase marks kinds that resolve through the engine's two-layer
+	// cache (tail and energyprop, unless the suite runs single-phase).
+	twoPhase bool
+}
+
+// resolve validates a spec and resolves its key, design, workload and
+// effective arrival rate (tail cells with Lambda 0 default to the
+// workload's nominal rate at the load, exactly as the CLI figure path
+// does — so the defaulted request and the CLI cell share one cache
+// entry). It does not hash the key.
+func (s *Suite) resolve(cs CellSpec) (Resolved, error) {
+	if err := cs.Validate(); err != nil {
+		return Resolved{}, err
 	}
-	return s.cellKey(cs.Kind, design, spec, cs.Load, cs.Governor), design, spec, 0
+	design, _ := ParseDesign(cs.Design)
+	r := Resolved{Spec: cs, design: design, wl: workloadByName(cs.Workload)}
+	switch cs.Kind {
+	case KindTail:
+		r.lambda = cs.Lambda
+		if r.lambda == 0 {
+			r.lambda = r.wl.QPSAtLoad(cs.Load)
+		}
+		r.Key = s.tailKey(design, r.wl, cs.Load, r.lambda)
+		r.twoPhase = !s.opts.SinglePhase
+	case KindEnergyProp:
+		r.Key = s.cellKey(cs.Kind, design, r.wl, cs.Load, cs.Governor)
+		r.twoPhase = !s.opts.SinglePhase
+	default:
+		r.Key = s.cellKey(cs.Kind, design, r.wl, cs.Load, cs.Governor)
+	}
+	return r, nil
+}
+
+// Resolve validates a served cell and resolves it once, key digest
+// included.
+func (s *Suite) Resolve(cs CellSpec) (Resolved, error) {
+	r, err := s.resolve(cs)
+	if err != nil {
+		return Resolved{}, err
+	}
+	r.Digest = r.Key.Digest()
+	return r, nil
 }
 
 // ServedKey returns the content-address key a validated spec resolves
 // to — the same key the CLI path would use for the identical cell.
 func (s *Suite) ServedKey(cs CellSpec) (campaign.Key, error) {
-	if err := cs.Validate(); err != nil {
-		return campaign.Key{}, err
-	}
-	key, _, _, _ := s.servedKeyFor(cs)
-	return key, nil
+	r, err := s.resolve(cs)
+	return r.Key, err
 }
 
-// RunServedRaw resolves one validated cell through the campaign engine
-// at the cache-entry level: local cache probe, remote dispatch (when the
-// suite has a fleet), simulation on a miss, journaling — identical
-// accounting to a CLI batch. This is what the serve layer's /v1/exec
-// endpoint returns to a fleet coordinator. Safe for concurrent use.
+// ServeHit answers a resolved cell from the local cache on the caller's
+// goroutine, through the engine's one cache probe (campaign.Engine.Hit):
+// one read of the entry file and, for the client-facing form, one
+// decode straight into the typed payload. raw selects the
+// cache-entry-level form instead (Raw set, for /v1/exec and job
+// streams), which decodes the envelope and then the result. The bool
+// is false on a miss, an undecodable entry, or a suite without a cache;
+// nothing is counted then, and the caller resolves the cell through
+// RunResolved. Safe for concurrent use.
+func (s *Suite) ServeHit(r *Resolved, tr *telemetry.CellTrace, raw bool) (ServedResult, bool) {
+	if s.eng == nil {
+		return ServedResult{}, false
+	}
+	out := r.served(true)
+	decode := func(entry []byte) error { return out.decodePayload(entry, true) }
+	if raw {
+		decode = func(entry []byte) error {
+			var ent campaign.Entry
+			if err := campaign.DecodeEntry(entry, &ent); err != nil {
+				return err
+			}
+			out.Raw = &RawCellResult{Digest: r.Digest, Cached: true, WallSeconds: ent.WallSeconds, Result: ent.Result}
+			return out.decodePayload(ent.Result, false)
+		}
+	}
+	if !s.eng.Hit(r.Digest, r.twoPhase, tr, decode) {
+		return ServedResult{}, false
+	}
+	return out, true
+}
+
+// RunResolved resolves a cell through the campaign engine — local cache
+// probe, remote dispatch (when the suite has a fleet), simulation on a
+// miss, journaling — and decodes it into the API-facing result shape,
+// with Raw set. A non-zero deadline reaches the engine's remote for
+// Hurry-up-style placement, never the simulation itself, so results
+// stay byte-identical with or without one. This is the serve layer's
+// run hook; it is safe for concurrent use (it touches no Suite
+// memoization), which is what lets the serve layer fan cells across
+// its pool with one shared Suite.
+func (s *Suite) RunResolved(r *Resolved, tr *telemetry.CellTrace, deadline time.Time) (ServedResult, error) {
+	raw, err := s.runResolvedRaw(r, tr, deadline)
+	if err != nil {
+		return ServedResult{}, err
+	}
+	out := r.served(raw.Cached)
+	out.Raw = &raw
+	if err := out.decodePayload(raw.Result, false); err != nil {
+		return ServedResult{}, fmt.Errorf("expt: decoding %s cell %s: %w", r.Spec.Kind, r.Digest[:12], err)
+	}
+	return out, nil
+}
+
+// runResolvedRaw is RunResolved at the cache-entry level. The two-phase
+// kinds' stage closures and micro-sim keys are built here, so a hit
+// answered by ServeHit never builds them.
+func (s *Suite) runResolvedRaw(r *Resolved, tr *telemetry.CellTrace, deadline time.Time) (RawCellResult, error) {
+	if s.engErr != nil {
+		return RawCellResult{}, s.engErr
+	}
+	cs, design, spec := r.Spec, r.design, r.wl
+	var ent campaign.Entry
+	var cached bool
+	var err error
+	if r.twoPhase {
+		// Two-phase kinds resolve their slowdown micro-sims through the
+		// engine's phase-1 layer, shared across every served cell and
+		// CLI figure that needs them.
+		var tp *campaign.TwoPhase
+		if cs.Kind == KindTail {
+			tp = s.tailTwoPhase(design, spec, cs.Load, r.lambda)
+		} else {
+			tp = s.energyTwoPhase(design, spec, cs.Governor, cs.Load)
+		}
+		ent, cached, err = s.eng.DoRawTwoPhase(r.Key, tp, tr, deadline)
+	} else {
+		var run func() (json.RawMessage, error)
+		switch cs.Kind {
+		case KindMatrix:
+			run = func() (json.RawMessage, error) {
+				c, err := s.runCell(design, spec, cs.Load)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(c)
+			}
+		case KindSlowdown:
+			run = func() (json.RawMessage, error) {
+				v, err := s.measureSlowdown(design, spec)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(v)
+			}
+		case KindEnergyProp:
+			run = func() (json.RawMessage, error) {
+				c, err := s.runEnergyCell(design, spec, cs.Governor, cs.Load)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(c)
+			}
+		case KindTail:
+			run = func() (json.RawMessage, error) {
+				c, err := s.runTailCell(design, spec, cs.Load, r.lambda)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(c)
+			}
+		}
+		ent, cached, err = s.eng.DoRawDeadline(r.Key, run, tr, deadline)
+	}
+	if err != nil {
+		return RawCellResult{}, err
+	}
+	return RawCellResult{
+		Digest: r.Digest, Cached: cached,
+		WallSeconds: ent.WallSeconds, Result: ent.Result,
+	}, nil
+}
+
+// served returns the result header every kind shares.
+func (r *Resolved) served(cached bool) ServedResult {
+	cs := r.Spec
+	return ServedResult{
+		Kind: cs.Kind, Design: cs.Design, Workload: cs.Workload, Load: cs.Load,
+		Governor: cs.Governor, Digest: r.Digest, Cached: cached,
+	}
+}
+
+// errNoResult rejects a cache entry that carries no result.
+var errNoResult = errors.New("cache entry has no result")
+
+// decodeStored decodes a stored result: data is the result itself or,
+// with envelope set, a whole cache entry, whose "result" field is then
+// decoded in the same pass and the rest skipped.
+func decodeStored[T any](data []byte, envelope bool) (*T, error) {
+	if !envelope {
+		v := new(T)
+		return v, json.Unmarshal(data, v)
+	}
+	var e struct {
+		Result *T `json:"result"`
+	}
+	if err := json.Unmarshal(data, &e); err != nil {
+		return nil, err
+	}
+	if e.Result == nil {
+		return nil, errNoResult
+	}
+	return e.Result, nil
+}
+
+// decodePayload fills the kind's typed payload from stored bytes (see
+// decodeStored for envelope).
+func (out *ServedResult) decodePayload(data []byte, envelope bool) error {
+	switch out.Kind {
+	case KindMatrix:
+		c, err := decodeStored[cell](data, envelope)
+		if err != nil {
+			return err
+		}
+		out.Cell = c.report()
+	case KindSlowdown:
+		v, err := decodeStored[float64](data, envelope)
+		if err != nil {
+			return err
+		}
+		out.CyclesPerReq = *v
+	case KindEnergyProp:
+		c, err := decodeStored[energyCell](data, envelope)
+		if err != nil {
+			return err
+		}
+		out.Energy = c.report()
+	case KindTail:
+		c, err := decodeStored[tailCell](data, envelope)
+		if err != nil {
+			return err
+		}
+		out.Tail = c.report()
+	}
+	return nil
+}
+
+// RunServedRaw resolves one cell through the campaign engine at the
+// cache-entry level: local cache probe, remote dispatch (when the suite
+// has a fleet), simulation on a miss, journaling — identical accounting
+// to a CLI batch. Safe for concurrent use.
 func (s *Suite) RunServedRaw(cs CellSpec) (RawCellResult, error) {
 	return s.RunServedRawTraced(cs, nil)
 }
@@ -308,97 +530,15 @@ func (s *Suite) RunServedRaw(cs CellSpec) (RawCellResult, error) {
 // RunServedRawTraced is RunServedRaw with per-stage tracing threaded
 // into the campaign engine (nil tr: untraced).
 func (s *Suite) RunServedRawTraced(cs CellSpec, tr *telemetry.CellTrace) (RawCellResult, error) {
-	return s.RunServedRawDeadline(cs, tr, time.Time{})
-}
-
-// RunServedRawDeadline is RunServedRawTraced for deadline-lane cells: a
-// non-zero deadline reaches the campaign engine's remote (a fleet
-// coordinator) for Hurry-up-style placement, never the simulation
-// itself, so results stay byte-identical with or without a deadline.
-func (s *Suite) RunServedRawDeadline(cs CellSpec, tr *telemetry.CellTrace, deadline time.Time) (RawCellResult, error) {
-	if s.engErr != nil {
-		return RawCellResult{}, s.engErr
-	}
-	if err := cs.Validate(); err != nil {
-		return RawCellResult{}, err
-	}
-	key, design, spec, lambda := s.servedKeyFor(cs)
-
-	// Two-phase kinds resolve their slowdown micro-sims through the
-	// engine's phase-1 layer (shared across every served cell and CLI
-	// figure that needs them) unless the suite runs single-phase.
-	if !s.opts.SinglePhase {
-		var tp *campaign.TwoPhase
-		switch cs.Kind {
-		case KindTail:
-			tp = s.tailTwoPhase(design, spec, cs.Load, lambda)
-		case KindEnergyProp:
-			tp = s.energyTwoPhase(design, spec, cs.Governor, cs.Load)
-		}
-		if tp != nil {
-			ent, cached, err := s.eng.DoRawTwoPhase(key, tp, tr, deadline)
-			if err != nil {
-				return RawCellResult{}, err
-			}
-			return RawCellResult{
-				Digest: key.Digest(), Cached: cached,
-				WallSeconds: ent.WallSeconds, Result: ent.Result,
-			}, nil
-		}
-	}
-
-	var run func() (json.RawMessage, error)
-	switch cs.Kind {
-	case KindMatrix:
-		run = func() (json.RawMessage, error) {
-			c, err := s.runCell(design, spec, cs.Load)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		}
-	case KindSlowdown:
-		run = func() (json.RawMessage, error) {
-			v, err := s.measureSlowdown(design, spec)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(v)
-		}
-	case KindEnergyProp:
-		run = func() (json.RawMessage, error) {
-			c, err := s.runEnergyCell(design, spec, cs.Governor, cs.Load)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		}
-	case KindTail:
-		run = func() (json.RawMessage, error) {
-			c, err := s.runTailCell(design, spec, cs.Load, lambda)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		}
-	}
-	ent, cached, err := s.eng.DoRawDeadline(key, run, tr, deadline)
+	r, err := s.Resolve(cs)
 	if err != nil {
 		return RawCellResult{}, err
 	}
-	return RawCellResult{
-		Digest: key.Digest(), Cached: cached,
-		WallSeconds: ent.WallSeconds, Result: ent.Result,
-	}, nil
+	return s.runResolvedRaw(&r, tr, time.Time{})
 }
 
-// RunServed resolves one validated cell and decodes it into the
-// API-facing result shape. It layers typed decoding over RunServedRaw,
-// so the local, coordinator, and worker paths all produce their
-// responses from the same cached bytes. Unlike the figure methods,
-// RunServed is safe for concurrent use (it touches no Suite
-// memoization), which is what lets the serve layer fan cells across its
-// pool with one shared Suite.
+// RunServed resolves one cell and decodes it into the API-facing
+// result shape (RunResolved over a fresh resolution).
 func (s *Suite) RunServed(cs CellSpec) (ServedResult, error) {
 	return s.RunServedTraced(cs, nil)
 }
@@ -406,60 +546,11 @@ func (s *Suite) RunServed(cs CellSpec) (ServedResult, error) {
 // RunServedTraced is RunServed with per-stage tracing threaded through
 // (nil tr: untraced).
 func (s *Suite) RunServedTraced(cs CellSpec, tr *telemetry.CellTrace) (ServedResult, error) {
-	return s.RunServedDeadline(cs, tr, time.Time{})
-}
-
-// RunServedDeadline is RunServedTraced with a placement deadline for
-// interactive-lane cells (zero deadline: batch semantics). This is the
-// serve layer's run hook.
-func (s *Suite) RunServedDeadline(cs CellSpec, tr *telemetry.CellTrace, deadline time.Time) (ServedResult, error) {
-	raw, err := s.RunServedRawDeadline(cs, tr, deadline)
+	r, err := s.Resolve(cs)
 	if err != nil {
 		return ServedResult{}, err
 	}
-	out := ServedResult{
-		Kind: cs.Kind, Design: cs.Design, Workload: cs.Workload, Load: cs.Load,
-		Governor: cs.Governor, Digest: raw.Digest, Cached: raw.Cached, Raw: &raw,
-	}
-	switch cs.Kind {
-	case KindMatrix:
-		var c cell
-		if err := json.Unmarshal(raw.Result, &c); err != nil {
-			return ServedResult{}, fmt.Errorf("expt: decoding matrix cell %s: %w", raw.Digest[:12], err)
-		}
-		out.Cell = &CellReport{
-			Design:       c.Design.String(),
-			Workload:     c.Workload,
-			Load:         c.Load,
-			Utilization:  c.Utilization,
-			Seconds:      c.Seconds,
-			OoORetired:   c.OoORetired,
-			InORetired:   c.InORetired,
-			BatchRetired: c.BatchRetired,
-			RemotesPerS:  c.RemotesPerS,
-			Requests:     c.Requests,
-			MicroP99Us:   c.MicroP99Us,
-		}
-	case KindSlowdown:
-		var v float64
-		if err := json.Unmarshal(raw.Result, &v); err != nil {
-			return ServedResult{}, fmt.Errorf("expt: decoding slowdown cell %s: %w", raw.Digest[:12], err)
-		}
-		out.CyclesPerReq = v
-	case KindEnergyProp:
-		var c energyCell
-		if err := json.Unmarshal(raw.Result, &c); err != nil {
-			return ServedResult{}, fmt.Errorf("expt: decoding energyprop cell %s: %w", raw.Digest[:12], err)
-		}
-		out.Energy = c.report()
-	case KindTail:
-		var c tailCell
-		if err := json.Unmarshal(raw.Result, &c); err != nil {
-			return ServedResult{}, fmt.Errorf("expt: decoding tail cell %s: %w", raw.Digest[:12], err)
-		}
-		out.Tail = c.report()
-	}
-	return out, nil
+	return s.RunResolved(&r, tr, time.Time{})
 }
 
 // Campaign kinds accepted at the API boundary: the matrix campaign

@@ -19,6 +19,22 @@ type CellReport struct {
 	MicroP99Us   float64 `json:"micro_p99_us,omitempty"`
 }
 
+func (c cell) report() *CellReport {
+	return &CellReport{
+		Design:       c.Design.String(),
+		Workload:     c.Workload,
+		Load:         c.Load,
+		Utilization:  c.Utilization,
+		Seconds:      c.Seconds,
+		OoORetired:   c.OoORetired,
+		InORetired:   c.InORetired,
+		BatchRetired: c.BatchRetired,
+		RemotesPerS:  c.RemotesPerS,
+		Requests:     c.Requests,
+		MicroP99Us:   c.MicroP99Us,
+	}
+}
+
 // TailCellReport is the machine-readable form of one tail-latency
 // queueing point (design × workload × load × arrival rate).
 type TailCellReport struct {
@@ -99,19 +115,7 @@ func (s *Suite) ReportEnergyCached() []EnergyCellReport {
 func (s *Suite) ReportCached() []CellReport {
 	out := make([]CellReport, 0, len(s.matrix))
 	for _, c := range s.matrix {
-		out = append(out, CellReport{
-			Design:       c.Design.String(),
-			Workload:     c.Workload,
-			Load:         c.Load,
-			Utilization:  c.Utilization,
-			Seconds:      c.Seconds,
-			OoORetired:   c.OoORetired,
-			InORetired:   c.InORetired,
-			BatchRetired: c.BatchRetired,
-			RemotesPerS:  c.RemotesPerS,
-			Requests:     c.Requests,
-			MicroP99Us:   c.MicroP99Us,
-		})
+		out = append(out, *c.report())
 	}
 	return out
 }

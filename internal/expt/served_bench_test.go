@@ -1,16 +1,13 @@
 package expt
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// BenchmarkServedHit times one warm served hit as the daemon resolves
-// it, minus HTTP: ServedKey (the serve layer's coalescing address) then
-// RunServedDeadline against a warm on-disk cache. The four cells are
-// one of each kind on one workload, so the two-phase kinds take the
-// non-Baseline path that builds two micro-sim keys; each op is one hit,
-// cycling through the kinds.
+// BenchmarkServedHit times one warm served hit as the daemon answers
+// it, minus HTTP: Resolve (validation, the key and its one digest) then
+// ServeHit against a warm on-disk cache (one entry read, one typed
+// decode). The four cells are one of each kind on one workload, and the
+// two-phase kinds are non-Baseline, whose misses would build two
+// micro-sim keys; each op is one hit, cycling through the kinds.
 func BenchmarkServedHit(b *testing.B) {
 	s := NewSuite(Options{Scale: 0.01, Seed: 1, Workers: 1, CacheDir: b.TempDir()})
 	if err := s.Err(); err != nil {
@@ -31,14 +28,11 @@ func BenchmarkServedHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs := cells[i%len(cells)]
-		if _, err := s.ServedKey(cs); err != nil {
-			b.Fatal(err)
-		}
-		res, err := s.RunServedDeadline(cs, nil, time.Time{})
+		r, err := s.Resolve(cs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Cached {
+		if res, ok := s.ServeHit(&r, nil, false); !ok || !res.Cached {
 			b.Fatalf("%s cell missed a warm cache", cs.Kind)
 		}
 	}

@@ -7,7 +7,7 @@
 // The package sits between the HTTP surface (internal/serve) and the
 // admission queue: serve translates requests into JobSpecs and hands
 // the Manager an ExecFunc that pushes one cell through its normal
-// admission → coalesce → pool path. The Manager decides *which* cell
+// cache probe → admission → coalesce → pool path. The Manager decides *which* cell
 // goes next (fair share across tenants, interactive lane before
 // batch), the admission queue still decides *whether* the daemon can
 // take it right now.

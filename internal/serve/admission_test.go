@@ -32,7 +32,9 @@ func newTestServer(t *testing.T, cfg Config, run func(expt.CellSpec) (expt.Serve
 		t.Fatal(err)
 	}
 	if run != nil {
-		s.run = func(cs expt.CellSpec, _ *telemetry.CellTrace, _ time.Time) (expt.ServedResult, error) { return run(cs) }
+		s.run = func(c *expt.Resolved, _ *telemetry.CellTrace, _ time.Time) (expt.ServedResult, error) {
+			return run(c.Spec)
+		}
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

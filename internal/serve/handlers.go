@@ -41,8 +41,8 @@ func (s *Server) routes() *http.ServeMux {
 }
 
 // handleCell is the synchronous single-cell path: validate at the
-// boundary, rate-limit, then admission → coalesce → pool, answering
-// with the served result or a structured rejection.
+// boundary, rate-limit, then cache probe → admission → coalesce → pool,
+// answering with the served result or a structured rejection.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var req CellRequest
 	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
@@ -97,8 +97,9 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 // handleExec is the fleet-internal execution path: a coordinator
 // dispatches one cell and receives the cache-entry-level result (digest,
 // cached flag, wall time, raw result JSON) so it can store an identical
-// cache entry on its side. It shares admission, coalescing, and the pool
-// with /v1/cells — hedged duplicates landing on the same worker coalesce
+// cache entry on its side. It shares the cache probe, admission,
+// coalescing, and the pool with /v1/cells — hedged duplicates landing
+// on the same worker coalesce
 // onto one flight, and a full queue sheds with 429 + Retry-After, which
 // is the coordinator's backpressure signal. The token bucket is not
 // consulted: the coordinator's per-worker window is the rate control.
@@ -119,7 +120,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	tc, _ := telemetry.TraceFromHeaders(r.Header)
-	res, tr, err := s.execCell(ctx, req.CellSpec, false, tc)
+	res, tr, err := s.execCellOpts(ctx, req.CellSpec, execOpts{tc: tc, raw: true})
 	if err != nil {
 		writeExecError(w, err)
 		return

@@ -20,8 +20,9 @@ type CellLine = jobstore.CellLine
 type JobStatus = jobstore.JobStatus
 
 // runJobCell is the job manager's ExecFunc: it pushes one dispatched
-// cell through the server's normal admission → coalesce → pool path
-// with backpressure. Drain and shutdown outcomes are wrapped with
+// cell through the server's normal cache probe → admission → coalesce →
+// pool path with backpressure, asking for the raw entry durable job
+// streams carry. Drain and shutdown outcomes are wrapped with
 // MarkCancelled so the manager treats the cell as interrupted-not-
 // failed: ephemeral jobs account it cancelled, durable jobs leave it
 // pending for the next boot's resume.
@@ -31,6 +32,7 @@ func (s *Server) runJobCell(d jobstore.Dispatched) (expt.ServedResult, error) {
 		tc:       telemetry.TraceContext{Campaign: d.JobID},
 		deadline: d.Deadline,
 		queuedAt: d.Queued,
+		raw:      true,
 	})
 	if err != nil && (errors.Is(err, errDraining) || errors.Is(err, context.Canceled)) {
 		err = jobstore.MarkCancelled(err)

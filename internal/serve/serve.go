@@ -4,8 +4,13 @@
 // latency-sensitive submissions over a pool of heavyweight simulation
 // cells.
 //
-// The request path is admission → coalesce → campaign pool:
+// The request path is cache probe → admission → coalesce → campaign
+// pool:
 //
+//   - Cache probe: a warm hit is answered on the request's own
+//     goroutine with one read of its cache entry, so it never waits in
+//     the queue or wakes a pool worker. It is still registered with
+//     drain, and counted like any other hit. Only a miss goes on.
 //   - Admission: a token bucket rate-limits open-loop submissions and a
 //     bounded queue caps memory; when either saturates the server sheds
 //     load with 429 + Retry-After instead of queueing unboundedly.
@@ -96,7 +101,7 @@ type Config struct {
 // work is one enqueued leader cell.
 type work struct {
 	flight *flight
-	spec   expt.CellSpec
+	cell   expt.Resolved
 	// enq stamps the admission-queue entry; the worker closes the
 	// admission span against it at pickup.
 	enq time.Time
@@ -112,11 +117,11 @@ type Server struct {
 	cfg   Config
 	suite *expt.Suite
 
-	// run executes one validated cell; swapped by tests to decouple
-	// admission/coalescing behavior from multi-second simulations. The
-	// trace is nil when tracing is disabled; the deadline is zero for
-	// batch work.
-	run func(expt.CellSpec, *telemetry.CellTrace, time.Time) (expt.ServedResult, error)
+	// run executes one resolved cell the cache probe missed; swapped by
+	// tests to decouple admission/coalescing behavior from multi-second
+	// simulations. The trace is nil when tracing is disabled; the
+	// deadline is zero for batch work.
+	run func(*expt.Resolved, *telemetry.CellTrace, time.Time) (expt.ServedResult, error)
 
 	bucket *tokenBucket
 	m      metrics
@@ -205,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 		drainReq: make(chan struct{}),
 		flights:  make(map[string]*flight),
 	}
-	s.run = s.suite.RunServedDeadline
+	s.run = s.suite.RunResolved
 	if !cfg.DisableTracing {
 		s.traces = telemetry.NewTraceRing(cfg.TraceDepth)
 	}
@@ -338,26 +343,26 @@ type execOpts struct {
 	// enqueue so the wall time covers fair-share wait, recorded as a
 	// "sched" span.
 	queuedAt time.Time
+	// raw asks for the cache-entry-level result (ServedResult.Raw) on a
+	// cache-probe hit too; the client-facing /v1/cells path leaves it
+	// unset and decodes the entry straight into the typed payload.
+	raw bool
 }
 
-// execCell runs one validated cell through admission → coalesce → pool.
-// Blocking submissions (campaign cells) wait for queue space with
-// backpressure; non-blocking ones (the open-loop /v1/cells path) are
-// shed with 429 when the queue is full.
-func (s *Server) execCell(ctx context.Context, spec expt.CellSpec, block bool, tc telemetry.TraceContext) (expt.ServedResult, *telemetry.CellTrace, error) {
-	return s.execCellOpts(ctx, spec, execOpts{block: block, tc: tc})
-}
-
-// execCellOpts is execCell with scheduling context. The returned
-// *telemetry.CellTrace is nil when tracing is disabled, and its
-// snapshot has already been pushed to the tracez ring by return time.
+// execCellOpts runs one validated cell through cache probe → admission
+// → coalesce → pool. Blocking submissions (campaign cells) wait for
+// queue space with backpressure; non-blocking ones (the open-loop
+// /v1/cells and /v1/exec paths) are shed with 429 when the queue is
+// full. The returned *telemetry.CellTrace is nil when tracing is
+// disabled, and its snapshot has already been pushed to the tracez ring
+// by return time.
 func (s *Server) execCellOpts(ctx context.Context, spec expt.CellSpec, o execOpts) (expt.ServedResult, *telemetry.CellTrace, error) {
 	var zero expt.ServedResult
-	key, err := s.suite.ServedKey(spec)
+	cell, err := s.suite.Resolve(spec)
 	if err != nil {
 		return zero, nil, err
 	}
-	digest := key.Digest()
+	digest := cell.Digest
 	var tr *telemetry.CellTrace
 	if s.traces != nil {
 		if !o.queuedAt.IsZero() {
@@ -368,12 +373,30 @@ func (s *Server) execCellOpts(ctx context.Context, spec expt.CellSpec, o execOpt
 		}
 	}
 
+	// Register the request before releasing admitMu so Drain's
+	// inflight.Wait can never miss it, whether the cache answers it
+	// below or it goes on to the pool as a flight's leader.
 	s.admitMu.RLock()
 	if s.draining {
 		s.admitMu.RUnlock()
 		s.m.shedDraining.Add(1)
 		s.finishTrace(tr, false, errDraining)
 		return zero, tr, errDraining
+	}
+	s.inflight.Add(1)
+	s.admitMu.RUnlock()
+
+	// Cache probe: a warm hit is answered here, on the request's
+	// goroutine. It never queued, so its admission span is empty.
+	admitted := time.Now()
+	if res, ok := s.suite.ServeHit(&cell, tr, o.raw); ok {
+		s.inflight.Done()
+		tr.Record(telemetry.StageSpan{Stage: telemetry.StageAdmission, StartUnixNs: admitted.UnixNano()})
+		s.m.completed.Add(1)
+		s.m.cacheHits.Add(1)
+		s.m.observeLatency(uint64(time.Since(admitted).Microseconds()))
+		s.finishTrace(tr, true, nil)
+		return res, tr, nil
 	}
 
 	// Coalesce: join an identical in-flight cell instead of submitting a
@@ -383,7 +406,7 @@ func (s *Server) execCellOpts(ctx context.Context, spec expt.CellSpec, o execOpt
 		f.waiters++
 		leader := f.tr
 		s.fmu.Unlock()
-		s.admitMu.RUnlock()
+		s.inflight.Done()
 		s.m.coalesceHits.Add(1)
 		wait := time.Now()
 		res, err := s.await(ctx, f)
@@ -398,21 +421,19 @@ func (s *Server) execCellOpts(ctx context.Context, spec expt.CellSpec, o execOpt
 		s.finishTrace(tr, res.Cached, err)
 		return res, tr, err
 	}
-	f := &flight{key: key, digest: digest, waiters: 1, done: make(chan struct{}), tr: tr}
+	f := &flight{key: cell.Key, digest: digest, waiters: 1, done: make(chan struct{}), tr: tr}
 	s.flights[digest] = f
 	s.fmu.Unlock()
-	// Count the leader before releasing admitMu so Drain's inflight.Wait
-	// can never miss it; the enqueue itself must happen outside the lock
-	// (a blocked backpressure send while holding it would deadlock
-	// Drain).
-	s.inflight.Add(1)
-	s.admitMu.RUnlock()
+	// The leader keeps the request's inflight registration until its
+	// worker finishes (or the enqueue below fails). The enqueue itself
+	// happens outside admitMu: a blocked backpressure send while holding
+	// it would deadlock Drain.
 	s.m.coalesceLeaders.Add(1)
 
 	enqueued := false
 	if o.block {
 		select {
-		case s.runq <- &work{flight: f, spec: spec, enq: time.Now(), deadline: o.deadline}:
+		case s.runq <- &work{flight: f, cell: cell, enq: time.Now(), deadline: o.deadline}:
 			enqueued = true
 		case <-s.drainCh:
 			err = errDraining
@@ -422,7 +443,7 @@ func (s *Server) execCellOpts(ctx context.Context, spec expt.CellSpec, o execOpt
 		}
 	} else {
 		select {
-		case s.runq <- &work{flight: f, spec: spec, enq: time.Now(), deadline: o.deadline}:
+		case s.runq <- &work{flight: f, cell: cell, enq: time.Now(), deadline: o.deadline}:
 			enqueued = true
 		default:
 			err = &shedError{status: http.StatusTooManyRequests, retryAfter: s.retryAfter(), msg: "submission queue full"}
@@ -526,10 +547,12 @@ func (s *Server) runFlight(w *work) {
 		// unfinished work.
 		delete(s.flights, f.digest)
 		s.fmu.Unlock()
-		s.m.cancelled.Add(1)
+		// Journal before counting, so whoever sees the counter move
+		// finds the journal line too.
 		if eng := s.suite.Engine(); eng != nil {
 			eng.JournalIncomplete(f.key, campaign.StatusCancelled)
 		}
+		s.m.cancelled.Add(1)
 		f.err = context.DeadlineExceeded
 		close(f.done)
 		return
@@ -540,7 +563,7 @@ func (s *Server) runFlight(w *work) {
 	// worker pickup.
 	f.tr.Stage(telemetry.StageAdmission, w.enq)
 	start := time.Now()
-	res, err := s.safeRun(w.spec, f, w.deadline)
+	res, err := s.safeRun(&w.cell, f, w.deadline)
 	elapsed := time.Since(start)
 
 	s.fmu.Lock()
@@ -562,17 +585,17 @@ func (s *Server) runFlight(w *work) {
 
 // safeRun is the panic-isolation boundary: a panicking cell becomes a
 // request error and a journal record, never a dead daemon.
-func (s *Server) safeRun(spec expt.CellSpec, f *flight, deadline time.Time) (res expt.ServedResult, err error) {
+func (s *Server) safeRun(cell *expt.Resolved, f *flight, deadline time.Time) (res expt.ServedResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("cell panicked: %v", r)
-			s.m.panics.Add(1)
 			if eng := s.suite.Engine(); eng != nil {
 				eng.JournalIncomplete(f.key, campaign.StatusPanic)
 			}
+			s.m.panics.Add(1)
 		}
 	}()
-	return s.run(spec, f.tr, deadline)
+	return s.run(cell, f.tr, deadline)
 }
 
 // retryAfter estimates when a shed submission is worth retrying: the

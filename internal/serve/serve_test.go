@@ -61,9 +61,9 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 	// Gate the real runner so both submissions are in the house before
 	// any cell finishes — the duplicate MUST coalesce, deterministically.
 	gate := make(chan struct{})
-	s.run = func(cs expt.CellSpec, tr *telemetry.CellTrace, _ time.Time) (expt.ServedResult, error) {
+	s.run = func(c *expt.Resolved, tr *telemetry.CellTrace, deadline time.Time) (expt.ServedResult, error) {
 		<-gate
-		return suite.RunServedTraced(cs, tr)
+		return suite.RunResolved(c, tr, deadline)
 	}
 
 	spec := expt.CampaignSpec{

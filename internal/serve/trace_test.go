@@ -44,6 +44,9 @@ func TestTracezRecordsStages(t *testing.T) {
 		if sp.Child {
 			t.Errorf("single-node trace has a child span: %+v", sp)
 		}
+		if _, dup := stages[sp.Stage]; dup {
+			t.Errorf("miss recorded two %s spans: %+v", sp.Stage, tr.Spans)
+		}
 		stages[sp.Stage] = sp.Detail
 	}
 	for _, want := range []string{telemetry.StageAdmission, telemetry.StageCache, telemetry.StageCompute, telemetry.StageSerialize} {
@@ -58,7 +61,9 @@ func TestTracezRecordsStages(t *testing.T) {
 		t.Errorf("stage sum %dns exceeds wall %dns", sum, tr.WallNs)
 	}
 
-	// A warm repeat is a new trace answering from cache: no compute.
+	// A warm repeat is a new trace answered by the cache probe on the
+	// request goroutine: an empty admission span (it never queued) and
+	// a cache hit, nothing else.
 	if status, _, body := postJSON(t, ts.URL+"/v1/cells", matrixCell(0.30)); status != http.StatusOK {
 		t.Fatalf("warm cell = %d (%s)", status, body)
 	}
@@ -70,10 +75,10 @@ func TestTracezRecordsStages(t *testing.T) {
 	if !warm.Cached {
 		t.Error("warm trace not marked cached")
 	}
-	for _, sp := range warm.Spans {
-		if sp.Stage == telemetry.StageCompute {
-			t.Error("warm trace recorded a compute span")
-		}
+	if len(warm.Spans) != 2 ||
+		warm.Spans[0].Stage != telemetry.StageCache || warm.Spans[0].Detail != "hit" ||
+		warm.Spans[1].Stage != telemetry.StageAdmission || warm.Spans[1].DurNs != 0 {
+		t.Errorf("warm trace spans = %+v, want a cache hit and an empty admission span", warm.Spans)
 	}
 }
 
@@ -85,10 +90,10 @@ func TestCoalescedFollowerTraceJoins(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8}, nil)
 	gate := make(chan struct{})
 	started := make(chan struct{}, 4)
-	s.run = func(cs expt.CellSpec, tr *telemetry.CellTrace, _ time.Time) (expt.ServedResult, error) {
+	s.run = func(c *expt.Resolved, tr *telemetry.CellTrace, _ time.Time) (expt.ServedResult, error) {
 		started <- struct{}{}
 		<-gate
-		return stubResult(cs), nil
+		return stubResult(c.Spec), nil
 	}
 
 	var wg sync.WaitGroup

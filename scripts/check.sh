@@ -69,9 +69,14 @@ go test -race -timeout 15m \
     -run 'TestSuiteWorkloadsReadOnly|TestSpecDigestsPinned|TestServedKeyMatchesCLI|TestRunServedMatchesCLIEntry|TestTailServedKeyDefaults' \
     ./internal/expt
 # The exact HTTP response bytes of a served cell of every kind (cold
-# and warm /v1/cells, /v1/exec), named explicitly so a -run tweak
-# above can never drop the wire-format pin from the raced gate.
-go test -race -timeout 15m -run 'TestServedBodiesPinned' ./internal/serve
+# and warm /v1/cells, /v1/exec), and the warm hit answered on the
+# request goroutine: racing Drain, undecodable entries as misses, and
+# hits that grow neither the journal nor the timing rows. Named
+# explicitly so a -run tweak above can never drop them from the raced
+# gate.
+go test -race -timeout 15m \
+    -run 'TestServedBodiesPinned|TestInlineHitDrainRace|TestUndecodableEntryIsMiss|TestWarmHitsBounded' \
+    ./internal/serve
 # The serving layer is the most concurrency-dense package in the repo
 # (admission, coalescing, drain, panic isolation all cross goroutines);
 # its whole suite, including the real-simulator e2e tests, runs raced.

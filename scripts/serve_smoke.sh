@@ -7,12 +7,14 @@
 #   2. poll /v1/healthz until it answers ok
 #   3. submit one cell synchronously and one small campaign (streamed)
 #   4. re-submit the same cell and assert it is served from the cache
+#      (the response says "cached":true and /v1/statz counts the hit)
 #   5. scrape /v1/metricsz (every sample must parse as Prometheus text
 #      format) and /v1/tracez (every cell got a stitched timeline with
 #      a compute span and stage sums bounded by wall time)
 #   6. SIGTERM the daemon and assert it exits 0 within the drain window
 #   7. assert the cache dir holds a checkpoint marked clean=false and a
-#      journal with zero incomplete cells
+#      journal holding exactly the simulated cells: no incomplete cells
+#      and no hit lines (hits are counted, not journaled)
 #
 # Tunables: SMOKE_SCALE (default 0.02), SMOKE_ADDR (default
 # 127.0.0.1:8123).
@@ -151,15 +153,17 @@ if grep -q '"status"' "$tmp/cache/journal.jsonl"; then
     cat "$tmp/cache/journal.jsonl"
     exit 1
 fi
-# The journal audits every resolution (hits included): 3 distinct
+# The journal records work done, not requests answered: 3 distinct
 # cells from the submit phase plus 3 new load points from the loadgen
-# phase (its 4-point spread includes the already-cached load 0.5), and
-# the repeats show up as hit lines.
+# phase (its 4-point spread includes the already-cached load 0.5). The
+# repeats were confirmed as hits above, from the response and statz;
+# they leave no journal line.
 cells="$(grep -c '"cached":false' "$tmp/cache/journal.jsonl")"
 [[ "$cells" == "6" ]] \
     || { echo "FAIL: journal shows $cells simulated cells, want 6"; cat "$tmp/cache/journal.jsonl"; exit 1; }
-grep -q '"cached":true' "$tmp/cache/journal.jsonl" \
-    || { echo "FAIL: journal does not show the cache hit"; exit 1; }
+jlines="$(wc -l <"$tmp/cache/journal.jsonl")"
+[[ "$jlines" == "$cells" ]] \
+    || { echo "FAIL: journal has $jlines lines for $cells simulated cells; hits must not be journaled"; cat "$tmp/cache/journal.jsonl"; exit 1; }
 # Completed lines carry the traced per-stage breakdown.
 grep -q '"stages_us":{' "$tmp/cache/journal.jsonl" \
     || { echo "FAIL: journal lines carry no stage breakdown"; head -2 "$tmp/cache/journal.jsonl"; exit 1; }
