@@ -155,9 +155,9 @@ func (e *Engine) DoRawTwoPhase(k Key, tp *TwoPhase, tr *telemetry.CellTrace, dea
 
 // resolveMicro resolves one phase-1 dependency: in-memory memo, disk
 // cache, singleflight join, then simulation (stored and journaled like
-// any other computed cell). Micro-sim wall time counts toward the engine's
-// SimWallSeconds — it is real compute — but micro resolutions are
-// accounted in their own per-layer counters, never in the legacy
+// any other computed cell). Micro-sim wall time counts toward the
+// engine's SimWallSeconds — it is real compute — but micro resolutions
+// are accounted in their own per-layer counters, never in the legacy
 // Cells/Hits/Misses totals (those still count whole cells).
 func (e *Engine) resolveMicro(mt MicroTask, tr *telemetry.CellTrace) (json.RawMessage, error) {
 	digest := mt.Key.Digest()

@@ -538,19 +538,13 @@ func (s *Suite) RunServedRawTraced(cs CellSpec, tr *telemetry.CellTrace) (RawCel
 }
 
 // RunServed resolves one cell and decodes it into the API-facing
-// result shape (RunResolved over a fresh resolution).
+// result shape (RunResolved over a fresh resolution, untraced).
 func (s *Suite) RunServed(cs CellSpec) (ServedResult, error) {
-	return s.RunServedTraced(cs, nil)
-}
-
-// RunServedTraced is RunServed with per-stage tracing threaded through
-// (nil tr: untraced).
-func (s *Suite) RunServedTraced(cs CellSpec, tr *telemetry.CellTrace) (ServedResult, error) {
 	r, err := s.Resolve(cs)
 	if err != nil {
 		return ServedResult{}, err
 	}
-	return s.RunResolved(&r, tr, time.Time{})
+	return s.RunResolved(&r, nil, time.Time{})
 }
 
 // Campaign kinds accepted at the API boundary: the matrix campaign

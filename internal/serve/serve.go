@@ -9,8 +9,9 @@
 //
 //   - Cache probe: a warm hit is answered on the request's own
 //     goroutine with one read of its cache entry, so it never waits in
-//     the queue or wakes a pool worker. It is still registered with
-//     drain, and counted like any other hit. Only a miss goes on.
+//     the queue or wakes a pool worker. It is still rate-limited,
+//     registered with drain, and counted like any other hit. Only a
+//     miss goes on.
 //   - Admission: a token bucket rate-limits open-loop submissions and a
 //     bounded queue caps memory; when either saturates the server sheds
 //     load with 429 + Retry-After instead of queueing unboundedly.
@@ -19,8 +20,8 @@
 //   - Coalesce: concurrent identical submissions (same SHA-256 cache
 //     key) share one in-flight simulation with singleflight semantics;
 //     afterwards the content-addressed on-disk cache answers repeats.
-//   - Pool: a fixed worker pool executes cells through
-//     campaign.Do — the same cache, journal, and accounting as CLI
+//   - Pool: a fixed worker pool executes the missed cells through the
+//     campaign engine — the same cache, journal, and accounting as CLI
 //     batches, so served results are byte-identical to CLI runs.
 //
 // One bad cell cannot take the daemon down: worker panics are caught,
