@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"duplexity/internal/graphwl"
 	"duplexity/internal/workload"
@@ -58,6 +60,79 @@ func BenchmarkDyadRun(b *testing.B) {
 			b.ResetTimer()
 			d.Run(uint64(b.N))
 		})
+	}
+}
+
+// TestEventEngineSpeedupFloor pins the discrete-event engine's win where
+// the paper's killer microseconds dominate: a McRouter master at 2 %
+// load with no batch threads, so the dyad idles between requests and
+// stalls on every remote. For each design it runs the same dyad
+// stepped and on the event engine for 3M cycles, checks that both runs
+// agree on the clock, the master core's stats and the completed
+// requests, and fails if stepping takes less than 10x the event
+// engine's wall time. Each mode's time is the fastest of three
+// interleaved runs: on a shared host another tenant can stall the
+// 30 ms event run by as much as the run itself, and the fastest run is
+// the one such stalls touched least.
+func TestEventEngineSpeedupFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six 3M-cycle runs per design; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock ratio; the race detector slows the two loops unequally")
+	}
+	const (
+		cycles = 3_000_000
+		load   = 0.02
+		rounds = 3
+		floor  = 10.0
+	)
+	spec := workload.McRouter()
+	run := func(design Design, mode ExecMode) (*Dyad, time.Duration) {
+		t.Helper()
+		master, err := spec.NewMaster(load, design.FreqGHz(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDyad(Config{Design: design, MasterStream: master})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Exec = mode
+		// Collect the construction garbage now, so no GC cycle it owes
+		// lands inside the timed run.
+		runtime.GC()
+		t0 := time.Now()
+		d.Run(cycles)
+		return d, time.Since(t0)
+	}
+	for _, design := range []Design{DesignBaseline, DesignDuplexity} {
+		var stepped, event time.Duration
+		for r := 0; r < rounds; r++ {
+			ref, ts := run(design, ExecStepped)
+			d, te := run(design, ExecEvent)
+			if d.Now() != ref.Now() {
+				t.Fatalf("%v: clock diverged: %d vs stepped %d", design, d.Now(), ref.Now())
+			}
+			if d.MasterOoO.Stats != ref.MasterOoO.Stats {
+				t.Fatalf("%v: master core stats diverged:\nevent   %+v\nstepped %+v",
+					design, d.MasterOoO.Stats, ref.MasterOoO.Stats)
+			}
+			if a, b := d.MasterOoO.ThreadStats(0).RequestsCompleted, ref.MasterOoO.ThreadStats(0).RequestsCompleted; a != b {
+				t.Fatalf("%v: completed requests diverged: %d vs stepped %d", design, a, b)
+			}
+			if r == 0 || ts < stepped {
+				stepped = ts
+			}
+			if r == 0 || te < event {
+				event = te
+			}
+		}
+		speedup := stepped.Seconds() / event.Seconds()
+		t.Logf("%v: stepped %v, event %v, speedup %.2fx", design, stepped, event, speedup)
+		if speedup < floor {
+			t.Errorf("%v: event engine %.2fx faster than stepping, below the %.0fx floor", design, speedup, floor)
+		}
 	}
 }
 

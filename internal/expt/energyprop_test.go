@@ -159,15 +159,17 @@ func TestEnergyQualitativeDeepVsFill(t *testing.T) {
 		t.Skip("cycle-level slowdown measurement in -short mode")
 	}
 	s := NewSuite(Options{Scale: 0.01, Seed: 1})
-	spec := workload.Microservices()[2] // RSC
-	deep, err := s.runEnergyCell(core.DesignBaseline, spec, idle.GovDeep, 0.5)
-	if err != nil {
-		t.Fatal(err)
+	run := func(design core.Design, gov string) *EnergyCellReport {
+		t.Helper()
+		res, err := s.RunServed(CellSpec{Kind: KindEnergyProp, Design: design.String(),
+			Workload: "RSC", Load: 0.5, Governor: gov})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Energy
 	}
-	fill, err := s.runEnergyCell(core.DesignDuplexity, spec, idle.GovFill, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	deep := run(core.DesignBaseline, idle.GovDeep)
+	fill := run(core.DesignDuplexity, idle.GovFill)
 	if deep.IdlePowerW >= fill.IdlePowerW {
 		t.Errorf("deep idle power %v W not below fill's %v W", deep.IdlePowerW, fill.IdlePowerW)
 	}
