@@ -94,7 +94,6 @@ func main() {
 	fleetList := flag.String("fleet", "", "comma-separated duplexityd worker URLs to run cells on (empty = local CPU)")
 	telemetryPath := flag.String("telemetry", "", "write a JSON campaign manifest to this file")
 	progress := flag.Bool("progress", false, "report per-experiment progress on stderr")
-	singlePhase := flag.Bool("single-phase", false, "disable the two-layer (micro-sim + queueing) cache split; results are byte-identical either way")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	experimentFlag := flag.String("experiment", "", "comma-separated experiment names (equivalent to positional arguments)")
 	flag.Usage = func() {
@@ -137,7 +136,7 @@ func main() {
 	}
 	s := duplexity.NewSuite(duplexity.SuiteOptions{
 		Scale: *scale, Seed: *seed, Workers: *workers, CacheDir: *cacheDir,
-		Remote: remote, SinglePhase: *singlePhase,
+		Remote: remote,
 	})
 	if err := s.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "duplexity:", err)
@@ -186,8 +185,7 @@ func main() {
 		"slowdowns":  s.ServiceSlowdowns,
 		"energyprop": s.EnergyProp,
 		// The Figure 5(d) queueing stage as a standalone content-addressed
-		// campaign (absolute p99 per design × workload × load); also the
-		// scripts/bench.sh two-phase A/B target.
+		// campaign (absolute p99 per design × workload × load).
 		"tails": s.TailMatrix,
 		// Ablation studies of Duplexity's design choices (not paper figures).
 		"ablation-contexts": s.AblationVirtualContexts,
@@ -252,12 +250,13 @@ func main() {
 	}
 
 	// The campaign summary goes to stderr so table output on stdout stays
-	// byte-comparable across runs (and scripts/bench.sh can parse it).
+	// byte-comparable across runs.
 	cs := s.CampaignStats()
 	if cs.Cells > 0 {
 		// phase1/phase2 report the two-layer split's per-layer hits/misses
-		// (both 0/0 for a purely monolithic run). The field names must not
-		// contain "hits="/"misses=" — scripts/bench.sh greps those.
+		// (both 0/0 when no tail or energyprop cell ran). The field names
+		// must not contain "hits="/"misses=": scripts/energyprop_smoke.sh
+		// reads the last "misses=" on the line.
 		fmt.Fprintf(os.Stderr, "campaign: workers=%d cells=%d hits=%d misses=%d remote=%d sim_wall_s=%.3f phase1=%d/%d phase2=%d/%d\n",
 			cs.Workers, cs.Cells, cs.Hits, cs.Misses, cs.Remote, cs.SimWallSeconds,
 			cs.MicrosimHits, cs.MicrosimMisses, cs.QueueingHits, cs.QueueingMisses)

@@ -861,8 +861,7 @@ func cmdTracez(args []string) error {
 	return nil
 }
 
-// loadReport is loadgen's single-line JSON envelope (bench.sh parses
-// it into BENCH_serve.json).
+// loadReport is loadgen's single-line JSON envelope.
 type loadReport struct {
 	Mode         string  `json:"mode"` // "closed" | "open"
 	Conc         int     `json:"conc,omitempty"`

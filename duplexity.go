@@ -65,16 +65,14 @@ const (
 var AllDesigns = core.AllDesigns
 
 // ExecMode selects how a Dyad or Chip advances simulated time: the
-// default discrete-event engine (never ticks an idle cycle), the legacy
-// whole-dyad fast-forward loop, or reference cycle-by-cycle stepping.
-// Results are bit-identical in all three modes.
+// default discrete-event engine (never ticks an idle cycle) or reference
+// cycle-by-cycle stepping. Results are bit-identical in both modes.
 type ExecMode = core.ExecMode
 
 // Execution modes.
 const (
-	ExecEvent       = core.ExecEvent
-	ExecFastForward = core.ExecFastForward
-	ExecStepped     = core.ExecStepped
+	ExecEvent   = core.ExecEvent
+	ExecStepped = core.ExecStepped
 )
 
 // Dyad is a cycle-level simulation of one design point: the evaluated

@@ -7,8 +7,8 @@
 //
 // Like the memory ports built on top of them (memsys.Port), caches are
 // passive in simulated time: state changes only inside Lookup/Install
-// calls issued by a stepping core, so the event-driven fast-forward path
-// (core.Dyad.NextEvent) can jump quiescent spans without consulting
+// calls issued by a stepping core, so the discrete-event engine
+// (internal/core, engine.go) can jump quiescent spans without consulting
 // them.
 package cache
 

@@ -166,8 +166,9 @@ type Task[R any] struct {
 	Run func() (R, error)
 	// TwoPhase, when non-nil, resolves the cell through the two-layer
 	// cache (phase-1 micro-sims shared across cells, phase-2 stored
-	// under the cell's own digest) instead of Run. TwoPhase.Queue must
-	// produce bytes identical to Run's for the same key.
+	// under the cell's own digest) and Run is not called: the tail and
+	// energyprop tasks leave it nil. TwoPhase.Queue must produce the
+	// bytes the cell's whole pipeline would for the same key.
 	TwoPhase *TwoPhase
 }
 

@@ -43,8 +43,8 @@ type JournalEntry struct {
 	// Layer marks which cache layer of a two-phase cell this line
 	// records: LayerMicrosim for a phase-1 micro-sim resolution,
 	// LayerQueueing for the whole-cell (phase-2) completion. Empty for
-	// legacy single-phase cells, so pre-split journal lines are
-	// unchanged.
+	// cells computed in one piece (matrix, slowdown), so pre-split
+	// journal lines are unchanged.
 	Layer string `json:"layer,omitempty"`
 	// MicroDigests lists the phase-1 digests a queueing-layer cell was
 	// derived from, in dependency order.

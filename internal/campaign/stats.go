@@ -37,9 +37,9 @@ type Summary struct {
 	// Per-layer counters for two-phase cells. Micro-sim resolutions are
 	// accounted here only — never in Cells/Hits/Misses, which still
 	// count whole cells — so a two-phase campaign's legacy totals stay
-	// comparable with single-phase runs. A queueing hit/miss is recorded
-	// alongside the legacy hit/miss for every two-phase cell; legacy
-	// single-phase cells touch neither layer.
+	// comparable with runs from before the split. A queueing hit/miss is
+	// recorded alongside the legacy hit/miss for every two-phase cell;
+	// cells computed in one piece (matrix, slowdown) touch neither layer.
 	MicrosimHits   int `json:"microsim_hits,omitempty"`
 	MicrosimMisses int `json:"microsim_misses,omitempty"`
 	QueueingHits   int `json:"queueing_hits,omitempty"`

@@ -31,9 +31,9 @@ import (
 //     encoding means every cache written before the split keeps
 //     hitting, byte for byte.
 //
-// The phase-2 entry's bytes must decode to exactly what the monolithic
-// cell produced; TestTwoPhaseByteIdentity in internal/expt pins this
-// for every decomposed cell kind.
+// The phase-2 entry's bytes must decode to exactly what the cell's whole
+// pipeline, computed in one piece, produced; TestTwoPhaseByteIdentity in
+// internal/expt pins recorded bytes for every decomposed cell kind.
 
 // MicroTask is one phase-1 dependency of a two-phase cell: the
 // micro-sim's own cache key and the function that measures it. Run must
@@ -118,7 +118,7 @@ func (e *Engine) DoRawTwoPhase(k Key, tp *TwoPhase, tr *telemetry.CellTrace, dea
 			return ent, remoteCached, nil
 		}
 		// Remote exhausted its retries; fall through to local two-phase
-		// computation, exactly like the single-phase fallback.
+		// computation, as DoRaw falls back to its local run.
 	}
 
 	micro := make([]json.RawMessage, len(tp.Micro))

@@ -36,11 +36,8 @@ type Chip struct {
 	now    uint64
 
 	// engine is the lazily built chip-wide discrete-event engine (all
-	// dyads' components on one queue); scanPenalty/scanHoldoff back off
-	// unprofitable NextEvent scans on the legacy fast-forward path.
-	engine      *eventEngine
-	scanPenalty uint32
-	scanHoldoff uint32
+	// dyads' components on one queue).
+	engine *eventEngine
 }
 
 // NewChip wires up the dyads on a shared LLC.
@@ -95,89 +92,36 @@ func (c *Chip) Step() {
 	c.now++
 }
 
-// execMode resolves the chip-wide execution mode: the strictest mode
-// any dyad requests wins (stepped over fast-forward over event), so a
-// single dyad pinned to ExecStepped pins the whole chip.
-func (c *Chip) execMode() ExecMode {
-	m := ExecEvent
+// stepped reports whether any dyad is pinned to ExecStepped, which
+// pins the whole chip.
+func (c *Chip) stepped() bool {
 	for _, d := range c.Dyads {
-		if d.Exec > m {
-			m = d.Exec
+		if d.Exec == ExecStepped {
+			return true
 		}
 	}
-	return m
+	return false
 }
 
 // Run advances n cycles on the shared clock. In the default event mode
 // every dyad's master and lender sides are components of one chip-wide
 // event queue — sharing is through the (passive) LLC and each dyad's
 // own context pool, so one dyad's stall span is skipped even while a
-// neighbour is busy. The legacy fast-forward mode keeps dyads in
-// lockstep and only jumps when every dyad is quiescent, to the
-// chip-wide earliest event.
+// neighbour is busy.
 func (c *Chip) Run(n uint64) {
 	end := c.now + n
-	switch c.execMode() {
-	case ExecStepped:
+	if c.stepped() {
 		for c.now < end {
 			c.Step()
 		}
-	case ExecFastForward:
-		c.runFastForward(end)
-	default:
-		if c.engine == nil {
-			c.engine = newDyadEngine(c.Dyads...)
-		}
-		c.now = c.engine.run(c.now, end, nil)
-		for _, d := range c.Dyads {
-			d.now = c.now
-		}
+		return
 	}
-}
-
-func (c *Chip) runFastForward(end uint64) {
-	for c.now < end {
-		idle := true
-		for _, d := range c.Dyads {
-			if !d.stepQuiet() {
-				idle = false
-			}
-		}
-		c.now++
-		if !idle || c.now >= end {
-			continue
-		}
-		if c.scanHoldoff > 0 {
-			c.scanHoldoff--
-			continue
-		}
-		target := end
-		for _, d := range c.Dyads {
-			ev := d.NextEvent()
-			if ev <= c.now {
-				target = c.now
-				break
-			}
-			if ev < target {
-				target = ev
-			}
-		}
-		if target >= c.now+scanMinGain {
-			c.scanPenalty = 0
-		} else {
-			pen := c.scanPenalty*2 + 1
-			if pen > scanHoldoffCap {
-				pen = scanHoldoffCap
-			}
-			c.scanPenalty = pen
-			c.scanHoldoff = pen
-		}
-		if target > c.now {
-			for _, d := range c.Dyads {
-				d.skipTo(target)
-			}
-			c.now = target
-		}
+	if c.engine == nil {
+		c.engine = newDyadEngine(c.Dyads...)
+	}
+	c.now = c.engine.run(c.now, end, nil)
+	for _, d := range c.Dyads {
+		d.now = c.now
 	}
 }
 

@@ -89,10 +89,9 @@ type Dyad struct {
 	// value is ExecEvent: a discrete-event engine in which each side of
 	// the dyad registers its next wake cycle in a priority queue and the
 	// clock jumps from event to event, never ticking an idle cycle.
-	// ExecFastForward restores the whole-dyad skip loop; ExecStepped
-	// forces cycle-by-cycle stepping. Results are bit-identical in all
-	// three modes (see DESIGN.md §8 and §13); the knob exists for the
-	// equivalence tests and for debugging.
+	// ExecStepped forces cycle-by-cycle stepping. Results are
+	// bit-identical in both modes (see DESIGN.md §13); the knob exists
+	// for the equivalence tests and for debugging.
 	Exec ExecMode
 	// SkippedCycles counts cycles advanced by jumps rather than steps.
 	// It is a diagnostic for the skip ratio only — deliberately not part
@@ -105,11 +104,8 @@ type Dyad struct {
 	now          uint64
 
 	// engine is the lazily built discrete-event engine for ExecEvent
-	// runs; scanPenalty/scanHoldoff are the legacy fast-forward path's
-	// profitability backoff (see engine.go: scanMinGain).
-	engine      *eventEngine
-	scanPenalty uint32
-	scanHoldoff uint32
+	// runs.
+	engine *eventEngine
 
 	// telemetry is the attached event sink (nil until EnableTelemetry);
 	// completedSeq numbers RequestComplete events, aligning with the
@@ -296,118 +292,6 @@ func (d *Dyad) Step() {
 	d.now++
 }
 
-// NextEvent returns the earliest cycle >= Now() at which any dyad
-// component (master side, lender scheduler, lender datapath) can change
-// observable state. A result <= Now() means some component would make
-// progress this cycle; cpu.NoEvent means the dyad is fully drained with
-// nothing scheduled.
-func (d *Dyad) NextEvent() uint64 {
-	now := d.now
-	var ev uint64
-	if d.Master != nil {
-		ev = d.Master.NextEvent(now)
-	} else {
-		ev = d.MasterOoO.NextEvent(now)
-	}
-	if ev <= now {
-		return now
-	}
-	if le := d.Lender.NextEvent(now); le < ev {
-		ev = le
-	}
-	if lc := d.LenderCore.NextEvent(now); lc < ev {
-		ev = lc
-	}
-	return ev
-}
-
-// skipTo jumps the clock to target, bulk-charging every component for
-// the quiescent span. The caller must have established that
-// NextEvent() >= target.
-func (d *Dyad) skipTo(target uint64) {
-	n := target - d.now
-	if d.Master != nil {
-		d.Master.SkipCycles(d.now, n)
-	} else {
-		d.MasterOoO.SkipCycles(d.now, n)
-	}
-	d.Lender.SkipCycles(d.now, n)
-	d.LenderCore.SkipCycles(d.now, n)
-	d.SkippedCycles += n
-	d.now = target
-}
-
-// coreMark snapshots a core's progress-visible counters so the fast
-// path can detect, in a few comparisons, whether a Step did anything.
-type coreMark struct{ cycles, work, fstall uint64 }
-
-func markCore(s *cpu.CoreStats) coreMark {
-	return coreMark{s.Cycles, s.TotalRetired + s.IssueSlotsUsed, s.FetchStallCycles}
-}
-
-// advancedSince reports whether the core made visible forward progress
-// after the mark: it was stepped and either retired/issued something or
-// fetched (no fetch-stall charge that cycle).
-func advancedSince(s *cpu.CoreStats, m coreMark) bool {
-	if s.Cycles == m.cycles {
-		return false // not stepped at all (e.g. master OoO in filler mode)
-	}
-	return s.TotalRetired+s.IssueSlotsUsed != m.work || s.FetchStallCycles == m.fstall
-}
-
-// stepQuiet steps the dyad one cycle and reports whether the step made
-// no visible progress anywhere — the cheap gate (a handful of counter
-// comparisons) that decides whether paying for an exact NextEvent scan
-// could be worthwhile.
-func (d *Dyad) stepQuiet() bool {
-	mm := markCore(&d.MasterOoO.Stats)
-	lm := markCore(&d.LenderCore.Stats)
-	var fm coreMark
-	var fstats *cpu.CoreStats
-	if d.Master != nil {
-		fstats = &d.Master.FillerCore().Stats
-		fm = markCore(fstats)
-	}
-	d.Step()
-	return !advancedSince(&d.MasterOoO.Stats, mm) && !advancedSince(&d.LenderCore.Stats, lm) &&
-		(fstats == nil || !advancedSince(fstats, fm))
-}
-
-// stepOrSkip advances at least one cycle (never past end). After a Step
-// that made no visible progress it consults NextEvent and jumps any
-// quiescent span in one go — the expensive exact scan runs only on idle
-// cycles, so busy spans pay just the counter comparisons of stepQuiet.
-// Scans that yield only tiny jumps (workloads whose quiet cycles come
-// one or two at a time) back off exponentially, so the scan cost can
-// never make fast-forward slower than plain stepping.
-func (d *Dyad) stepOrSkip(end uint64) {
-	if !d.stepQuiet() || d.now >= end {
-		return
-	}
-	if d.scanHoldoff > 0 {
-		d.scanHoldoff--
-		return
-	}
-	ev := d.NextEvent()
-	if ev >= d.now+scanMinGain {
-		d.scanPenalty = 0
-	} else {
-		pen := d.scanPenalty*2 + 1
-		if pen > scanHoldoffCap {
-			pen = scanHoldoffCap
-		}
-		d.scanPenalty = pen
-		d.scanHoldoff = pen
-	}
-	if ev > d.now {
-		target := ev
-		if target > end {
-			target = end
-		}
-		d.skipTo(target)
-	}
-}
-
 // eventEngineFor returns the dyad's lazily built discrete-event engine.
 func (d *Dyad) eventEngineFor() *eventEngine {
 	if d.engine == nil {
@@ -424,10 +308,6 @@ func (d *Dyad) Run(n uint64) {
 		for d.now < end {
 			d.Step()
 		}
-	case ExecFastForward:
-		for d.now < end {
-			d.stepOrSkip(end)
-		}
 	default:
 		d.now = d.eventEngineFor().run(d.now, end, nil)
 	}
@@ -441,10 +321,6 @@ func (d *Dyad) RunUntilRequests(n uint64, maxCycles uint64) uint64 {
 	case ExecStepped:
 		for ts.RequestsCompleted < n && d.now < maxCycles {
 			d.Step()
-		}
-	case ExecFastForward:
-		for ts.RequestsCompleted < n && d.now < maxCycles {
-			d.stepOrSkip(maxCycles)
 		}
 	default:
 		// The stop condition only changes on an executed cycle (a

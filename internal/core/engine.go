@@ -6,12 +6,12 @@ import (
 )
 
 // ExecMode selects how Run and RunUntilRequests advance simulated time.
-// All three modes are behavior-preserving by construction: stats,
-// telemetry event streams (kinds, cycle stamps, emission order), latency
-// samples, and campaign cache keys are bit-identical across modes (the
-// three-way equivalence suite in fastforward_test.go holds them to byte
-// equality). ModelVersion is deliberately untouched by the mode: how
-// time advances is not part of the model.
+// Both modes are behavior-preserving by construction: stats, telemetry
+// event streams (kinds, cycle stamps, emission order), latency samples,
+// and campaign cache keys are bit-identical across modes (the
+// equivalence suite in engine_test.go holds them to byte equality).
+// ModelVersion is deliberately untouched by the mode: how time advances
+// is not part of the model.
 type ExecMode uint8
 
 const (
@@ -23,14 +23,8 @@ const (
 	// configurations (the paper's killer microseconds) no longer pay a
 	// host cycle per simulated cycle.
 	ExecEvent ExecMode = iota
-	// ExecFastForward is the whole-dyad skip loop (the pre-event-engine
-	// default): step every component every cycle, and only when a cycle
-	// visibly changed nothing anywhere jump all components together to
-	// the earliest next event. Kept for the equivalence suite and as the
-	// conservative middle ground.
-	ExecFastForward
 	// ExecStepped steps every component every cycle with no skipping at
-	// all — the reference semantics the other two modes are held to.
+	// all — the reference semantics the event engine is held to.
 	ExecStepped
 )
 
@@ -39,20 +33,17 @@ func (m ExecMode) String() string {
 	switch m {
 	case ExecEvent:
 		return "event"
-	case ExecFastForward:
-		return "fastforward"
 	default:
 		return "stepped"
 	}
 }
 
-// Profitability backoff shared by the event engine and the legacy
-// fast-forward path: an exact NextEvent scan costs roughly as much as a
-// handful of plain steps, so a scan that yields a jump shorter than
-// scanMinGain cycles did not pay for itself. After such a scan the
-// scanner holds off for exponentially more quiet cycles (capped at
-// scanHoldoffCap) before paying for another one. Pure throttling: a
-// held-off cycle is simply stepped, which is always legal.
+// The event engine's profitability backoff: an exact wakeAt scan costs
+// roughly as much as a handful of plain steps, so a scan that yields a
+// jump shorter than scanMinGain cycles did not pay for itself. After
+// such a scan the component holds off for exponentially more quiet
+// cycles (capped at scanHoldoffCap) before paying for another one. Pure
+// throttling: a held-off cycle is simply stepped, which is always legal.
 const (
 	scanMinGain    = 8
 	scanHoldoffCap = 64
@@ -92,6 +83,24 @@ type component interface {
 	// pool have their cached wake times invalidated when a sharer's
 	// step changes the pool.
 	runQueue() *hsmt.Pool
+}
+
+// coreMark snapshots a core's progress-visible counters so the event
+// engine can detect, in a few comparisons, whether a step did anything.
+type coreMark struct{ cycles, work, fstall uint64 }
+
+func markCore(s *cpu.CoreStats) coreMark {
+	return coreMark{s.Cycles, s.TotalRetired + s.IssueSlotsUsed, s.FetchStallCycles}
+}
+
+// advancedSince reports whether the core made visible forward progress
+// after the mark: it was stepped and either retired/issued something or
+// fetched (no fetch-stall charge that cycle).
+func advancedSince(s *cpu.CoreStats, m coreMark) bool {
+	if s.Cycles == m.cycles {
+		return false // not stepped at all (e.g. master OoO in filler mode)
+	}
+	return s.TotalRetired+s.IssueSlotsUsed != m.work || s.FetchStallCycles == m.fstall
 }
 
 // masterComp adapts a dyad's master side (morph controller + OoO engine

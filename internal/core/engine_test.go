@@ -59,7 +59,7 @@ func makeTracedDyad(t *testing.T, design Design, qps float64, mode ExecMode) (*D
 	return d, sink
 }
 
-// compareDyads asserts that a dyad run in some skipping mode and the
+// compareDyads asserts that a dyad run on the event engine and the
 // cycle-by-cycle reference ended in externally identical states: clock,
 // every stats struct, the telemetry event stream, the collected metric
 // registry, the formatted thread report, and the raw latency samples.
@@ -100,16 +100,11 @@ func compareDyads(t *testing.T, design Design, mode ExecMode, got, ref *Dyad, go
 	}
 }
 
-// skipModes are the two time-skipping execution modes, each held to bit
-// equality against the ExecStepped reference.
-var skipModes = []ExecMode{ExecFastForward, ExecEvent}
-
-// TestFastForwardEquivalence is the three-way equivalence invariant: for
-// every design, a dyad run with the legacy whole-dyad fast-forward and
-// one run on the discrete-event engine must both be bit-identical —
-// stats, telemetry counters, event stream, latency samples — to the same
-// dyad stepped cycle by cycle.
-func TestFastForwardEquivalence(t *testing.T) {
+// TestEventEquivalence is the equivalence invariant: for every design, a
+// dyad run on the discrete-event engine must be bit-identical — stats,
+// telemetry counters, event stream, latency samples — to the same dyad
+// stepped cycle by cycle.
+func TestEventEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-cycle simulation; skipped with -short")
 	}
@@ -120,41 +115,36 @@ func TestFastForwardEquivalence(t *testing.T) {
 		if ref.SkippedCycles != 0 {
 			t.Fatalf("%v: cycle-by-cycle dyad reports %d skipped cycles", design, ref.SkippedCycles)
 		}
-		for _, mode := range skipModes {
-			d, sink := makeTracedDyad(t, design, 100_000, mode)
-			d.Run(budget)
-			compareDyads(t, design, mode, d, ref, sink, refSink)
-			if design == DesignBaseline && d.SkippedCycles == 0 {
-				t.Fatalf("%v/%v: never skipped (remote stalls should quiesce the dyad)", design, mode)
-			}
+		d, sink := makeTracedDyad(t, design, 100_000, ExecEvent)
+		d.Run(budget)
+		compareDyads(t, design, ExecEvent, d, ref, sink, refSink)
+		if design == DesignBaseline && d.SkippedCycles == 0 {
+			t.Fatalf("%v: never skipped (remote stalls should quiesce the dyad)", design)
 		}
 	}
 }
 
-// TestFastForwardEquivalenceUntilRequests exercises the RunUntilRequests
-// path, which interleaves skip decisions with request-completion checks,
-// in both skipping modes.
-func TestFastForwardEquivalenceUntilRequests(t *testing.T) {
+// TestEventEquivalenceUntilRequests exercises the RunUntilRequests path,
+// which interleaves clock jumps with request-completion checks.
+func TestEventEquivalenceUntilRequests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-cycle simulation; skipped with -short")
 	}
 	for _, design := range []Design{DesignBaseline, DesignDuplexity} {
 		ref, refSink := makeTracedDyad(t, design, 100_000, ExecStepped)
 		nref := ref.RunUntilRequests(60, 6_000_000)
-		for _, mode := range skipModes {
-			d, sink := makeTracedDyad(t, design, 100_000, mode)
-			n := d.RunUntilRequests(60, 6_000_000)
-			if n != nref {
-				t.Fatalf("%v/%v: completed requests diverged: %d vs stepped %d", design, mode, n, nref)
-			}
-			compareDyads(t, design, mode, d, ref, sink, refSink)
+		d, sink := makeTracedDyad(t, design, 100_000, ExecEvent)
+		n := d.RunUntilRequests(60, 6_000_000)
+		if n != nref {
+			t.Fatalf("%v: completed requests diverged: %d vs stepped %d", design, n, nref)
 		}
+		compareDyads(t, design, ExecEvent, d, ref, sink, refSink)
 	}
 }
 
-// TestEventEquivalenceQuick is the raced smoke variant of the three-way
-// suite: small enough to run under the race detector in check.sh's
-// -short pass, yet covering both designs' full mode machinery
+// TestEventEquivalenceQuick is the raced smoke variant of the
+// equivalence suite: small enough to run under the race detector in
+// check.sh's -short pass, yet covering both designs' full mode machinery
 // (master/draining/filler transitions, pool steals between the lender
 // and the master's filler engine). Unlike the full suite it is NOT
 // skipped with -short.
@@ -163,20 +153,18 @@ func TestEventEquivalenceQuick(t *testing.T) {
 	for _, design := range []Design{DesignBaseline, DesignDuplexity} {
 		ref, refSink := makeTracedDyad(t, design, 100_000, ExecStepped)
 		ref.Run(budget)
-		for _, mode := range skipModes {
-			d, sink := makeTracedDyad(t, design, 100_000, mode)
-			d.Run(budget)
-			compareDyads(t, design, mode, d, ref, sink, refSink)
-		}
+		d, sink := makeTracedDyad(t, design, 100_000, ExecEvent)
+		d.Run(budget)
+		compareDyads(t, design, ExecEvent, d, ref, sink, refSink)
 	}
 }
 
-// TestChipFastForwardEquivalence checks the chip-level engines: a
-// two-dyad chip sharing an LLC must produce identical per-dyad stats in
-// all three execution modes. Event mode is the interesting one — a
-// busy dyad must not keep a stalled neighbour's clock ticking, and the
-// shared-LLC access interleaving must still match lockstep exactly.
-func TestChipFastForwardEquivalence(t *testing.T) {
+// TestChipEventEquivalence checks the chip-level engine: a two-dyad chip
+// sharing an LLC must produce identical per-dyad stats on the event
+// engine and stepped. A busy dyad must not keep a stalled neighbour's
+// clock ticking, and the shared-LLC access interleaving must still
+// match lockstep exactly.
+func TestChipEventEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-cycle simulation; skipped with -short")
 	}
@@ -203,35 +191,33 @@ func TestChipFastForwardEquivalence(t *testing.T) {
 	}
 	ref := build(ExecStepped)
 	ref.Run(800_000)
-	for _, mode := range skipModes {
-		c := build(mode)
-		c.Run(800_000)
-		if c.Now() != ref.Now() {
-			t.Fatalf("%v: chip clock diverged: %d vs stepped %d", mode, c.Now(), ref.Now())
+	c := build(ExecEvent)
+	c.Run(800_000)
+	if c.Now() != ref.Now() {
+		t.Fatalf("chip clock diverged: %d vs stepped %d", c.Now(), ref.Now())
+	}
+	for i := range c.Dyads {
+		a, b := c.Dyads[i], ref.Dyads[i]
+		if a.Now() != b.Now() {
+			t.Fatalf("dyad %d clock diverged: %d vs stepped %d", i, a.Now(), b.Now())
 		}
-		for i := range c.Dyads {
-			a, b := c.Dyads[i], ref.Dyads[i]
-			if a.Now() != b.Now() {
-				t.Fatalf("%v: dyad %d clock diverged: %d vs stepped %d", mode, i, a.Now(), b.Now())
-			}
-			if a.MasterOoO.Stats != b.MasterOoO.Stats {
-				t.Fatalf("%v: dyad %d: master core stats diverged:\ngot     %+v\nstepped %+v",
-					mode, i, a.MasterOoO.Stats, b.MasterOoO.Stats)
-			}
-			if a.Master.Stats != b.Master.Stats {
-				t.Fatalf("%v: dyad %d: morph stats diverged:\ngot     %+v\nstepped %+v",
-					mode, i, a.Master.Stats, b.Master.Stats)
-			}
-			if !reflect.DeepEqual(a.Latencies.Samples(), b.Latencies.Samples()) {
-				t.Fatalf("%v: dyad %d: latency samples diverged", mode, i)
-			}
-			if a.ThreadReport() != b.ThreadReport() {
-				t.Fatalf("%v: dyad %d: thread reports diverged", mode, i)
-			}
+		if a.MasterOoO.Stats != b.MasterOoO.Stats {
+			t.Fatalf("dyad %d: master core stats diverged:\ngot     %+v\nstepped %+v",
+				i, a.MasterOoO.Stats, b.MasterOoO.Stats)
 		}
-		if c.Shared.LLC.Stats != ref.Shared.LLC.Stats {
-			t.Fatalf("%v: shared LLC stats diverged:\ngot     %+v\nstepped %+v",
-				mode, c.Shared.LLC.Stats, ref.Shared.LLC.Stats)
+		if a.Master.Stats != b.Master.Stats {
+			t.Fatalf("dyad %d: morph stats diverged:\ngot     %+v\nstepped %+v",
+				i, a.Master.Stats, b.Master.Stats)
 		}
+		if !reflect.DeepEqual(a.Latencies.Samples(), b.Latencies.Samples()) {
+			t.Fatalf("dyad %d: latency samples diverged", i)
+		}
+		if a.ThreadReport() != b.ThreadReport() {
+			t.Fatalf("dyad %d: thread reports diverged", i)
+		}
+	}
+	if c.Shared.LLC.Stats != ref.Shared.LLC.Stats {
+		t.Fatalf("shared LLC stats diverged:\ngot     %+v\nstepped %+v",
+			c.Shared.LLC.Stats, ref.Shared.LLC.Stats)
 	}
 }

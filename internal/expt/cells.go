@@ -282,9 +282,12 @@ type Resolved struct {
 	design core.Design
 	wl     *workload.Spec
 	lambda float64
-	// twoPhase marks kinds that resolve through the engine's two-layer
-	// cache (tail and energyprop, unless the suite runs single-phase).
-	twoPhase bool
+}
+
+// twoPhase reports whether the cell's kind resolves through the
+// engine's two-layer cache: tail and energyprop cells do.
+func (r *Resolved) twoPhase() bool {
+	return r.Spec.Kind == KindTail || r.Spec.Kind == KindEnergyProp
 }
 
 // resolve validates a spec and resolves its key, design, workload and
@@ -305,10 +308,6 @@ func (s *Suite) resolve(cs CellSpec) (Resolved, error) {
 			r.lambda = r.wl.QPSAtLoad(cs.Load)
 		}
 		r.Key = s.tailKey(design, r.wl, cs.Load, r.lambda)
-		r.twoPhase = !s.opts.SinglePhase
-	case KindEnergyProp:
-		r.Key = s.cellKey(cs.Kind, design, r.wl, cs.Load, cs.Governor)
-		r.twoPhase = !s.opts.SinglePhase
 	default:
 		r.Key = s.cellKey(cs.Kind, design, r.wl, cs.Load, cs.Governor)
 	}
@@ -358,7 +357,7 @@ func (s *Suite) ServeHit(r *Resolved, tr *telemetry.CellTrace, raw bool) (Served
 			return out.decodePayload(ent.Result, false)
 		}
 	}
-	if !s.eng.Hit(r.Digest, r.twoPhase, tr, decode) {
+	if !s.eng.Hit(r.Digest, r.twoPhase(), tr, decode) {
 		return ServedResult{}, false
 	}
 	return out, true
@@ -397,54 +396,30 @@ func (s *Suite) runResolvedRaw(r *Resolved, tr *telemetry.CellTrace, deadline ti
 	var ent campaign.Entry
 	var cached bool
 	var err error
-	if r.twoPhase {
-		// Two-phase kinds resolve their slowdown micro-sims through the
-		// engine's phase-1 layer, shared across every served cell and
-		// CLI figure that needs them.
-		var tp *campaign.TwoPhase
-		if cs.Kind == KindTail {
-			tp = s.tailTwoPhase(design, spec, cs.Load, r.lambda)
-		} else {
-			tp = s.energyTwoPhase(design, spec, cs.Governor, cs.Load)
-		}
-		ent, cached, err = s.eng.DoRawTwoPhase(r.Key, tp, tr, deadline)
-	} else {
-		var run func() (json.RawMessage, error)
-		switch cs.Kind {
-		case KindMatrix:
-			run = func() (json.RawMessage, error) {
-				c, err := s.runCell(design, spec, cs.Load)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(c)
+	switch cs.Kind {
+	case KindMatrix:
+		ent, cached, err = s.eng.DoRawDeadline(r.Key, func() (json.RawMessage, error) {
+			c, err := s.runCell(design, spec, cs.Load)
+			if err != nil {
+				return nil, err
 			}
-		case KindSlowdown:
-			run = func() (json.RawMessage, error) {
-				v, err := s.measureSlowdown(design, spec)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(v)
+			return json.Marshal(c)
+		}, tr, deadline)
+	case KindSlowdown:
+		ent, cached, err = s.eng.DoRawDeadline(r.Key, func() (json.RawMessage, error) {
+			v, err := s.measureSlowdown(design, spec)
+			if err != nil {
+				return nil, err
 			}
-		case KindEnergyProp:
-			run = func() (json.RawMessage, error) {
-				c, err := s.runEnergyCell(design, spec, cs.Governor, cs.Load)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(c)
-			}
-		case KindTail:
-			run = func() (json.RawMessage, error) {
-				c, err := s.runTailCell(design, spec, cs.Load, r.lambda)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(c)
-			}
-		}
-		ent, cached, err = s.eng.DoRawDeadline(r.Key, run, tr, deadline)
+			return json.Marshal(v)
+		}, tr, deadline)
+	// The two-phase kinds resolve their slowdown micro-sims through the
+	// engine's phase-1 layer, shared across every served cell and CLI
+	// figure that needs them.
+	case KindTail:
+		ent, cached, err = s.eng.DoRawTwoPhase(r.Key, s.tailTwoPhase(design, spec, cs.Load, r.lambda), tr, deadline)
+	case KindEnergyProp:
+		ent, cached, err = s.eng.DoRawTwoPhase(r.Key, s.energyTwoPhase(design, spec, cs.Governor, cs.Load), tr, deadline)
 	}
 	if err != nil {
 		return RawCellResult{}, err

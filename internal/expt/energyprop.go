@@ -83,69 +83,6 @@ type energyCell struct {
 	Idle *idle.Summary `json:"idle,omitempty"`
 }
 
-// rawSlowdown returns the memoized closed-loop cycles-per-request for
-// one (design, workload), measuring it inline on a miss. Unlike the
-// Slowdowns() figure path this is safe for concurrent use (served
-// energyprop cells fan out across the serve pool); a duplicate
-// concurrent measurement is wasted work but deterministic, so both
-// racers store the identical value.
-func (s *Suite) rawSlowdown(design core.Design, spec *workload.Spec) (float64, error) {
-	s.slowMu.Lock()
-	v, ok := s.rawSlow[slowKey{design, spec.Name}]
-	s.slowMu.Unlock()
-	if ok {
-		return v, nil
-	}
-	v, err := s.measureSlowdown(design, spec)
-	if err != nil {
-		return 0, err
-	}
-	s.slowMu.Lock()
-	if s.rawSlow == nil {
-		s.rawSlow = make(map[slowKey]float64)
-	}
-	s.rawSlow[slowKey{design, spec.Name}] = v
-	s.slowMu.Unlock()
-	return v, nil
-}
-
-// slowdownFor converts raw cycles-per-request into the
-// frequency-adjusted service-time inflation, with exactly the
-// Slowdowns() arithmetic so both paths agree bit-for-bit.
-func (s *Suite) slowdownFor(design core.Design, spec *workload.Spec) (float64, error) {
-	if design == core.DesignBaseline {
-		return 1.0, nil
-	}
-	v, err := s.rawSlowdown(design, spec)
-	if err != nil {
-		return 0, err
-	}
-	base, err := s.rawSlowdown(core.DesignBaseline, spec)
-	if err != nil {
-		return 0, err
-	}
-	return freqAdjSlowdown(design, v, base), nil
-}
-
-// runEnergyCell simulates one (design, workload, governor, load) point
-// monolithically: derive the slowdown (through the in-process memo),
-// then run the queueing + power stage. This is the single-phase path;
-// the two-phase path reaches queueEnergyCell with a slowdown derived
-// from cached phase-1 bytes instead, and produces identical results
-// (TestTwoPhaseByteIdentity).
-func (s *Suite) runEnergyCell(design core.Design, spec *workload.Spec, govName string, load float64) (energyCell, error) {
-	// Governor resolution stays first so an unknown governor errors
-	// without spending a closed-loop measurement.
-	if _, ok := idle.ByName(govName); !ok {
-		return energyCell{}, fmt.Errorf("expt: unknown idle governor %q", govName)
-	}
-	slow, err := s.slowdownFor(design, spec)
-	if err != nil {
-		return energyCell{}, err
-	}
-	return s.queueEnergyCell(design, spec, govName, load, slow)
-}
-
 // queueEnergyCell is the phase-2 body of an energyprop cell: a queueing
 // simulation with the governor classifying idle gaps, then the power
 // model over the resulting residency, for an already-derived slowdown.
@@ -269,24 +206,17 @@ func (s *Suite) energyTwoPhase(design core.Design, spec *workload.Spec, govName 
 }
 
 // energyTasks enumerates the canonical sweep in (combo, workload, load)
-// order. Two-phase by default: the slowdown micro-sims resolve once per
-// (design, workload) however many loads and governors fan out from them.
+// order. The slowdown micro-sims resolve once per (design, workload)
+// however many loads and governors fan out from them.
 func (s *Suite) energyTasks() []campaign.Task[energyCell] {
 	var tasks []campaign.Task[energyCell]
 	for _, combo := range EnergyCombos() {
 		for _, spec := range suiteSpecs() {
 			for _, load := range EnergyLoads {
-				combo, spec, load := combo, spec, load
-				t := campaign.Task[energyCell]{
-					Key: s.cellKey(KindEnergyProp, combo.Design, spec, load, combo.Governor),
-					Run: func() (energyCell, error) {
-						return s.runEnergyCell(combo.Design, spec, combo.Governor, load)
-					},
-				}
-				if !s.opts.SinglePhase {
-					t.TwoPhase = s.energyTwoPhase(combo.Design, spec, combo.Governor, load)
-				}
-				tasks = append(tasks, t)
+				tasks = append(tasks, campaign.Task[energyCell]{
+					Key:      s.cellKey(KindEnergyProp, combo.Design, spec, load, combo.Governor),
+					TwoPhase: s.energyTwoPhase(combo.Design, spec, combo.Governor, load),
+				})
 			}
 		}
 	}
@@ -294,12 +224,10 @@ func (s *Suite) energyTasks() []campaign.Task[energyCell] {
 }
 
 // EnergyCells runs (or returns the memoized) energy-proportionality
-// campaign. Two-phase (the default), the slowdown dependencies resolve
-// through the campaign engine's micro-sim layer — cache-keyed
-// identically to the Figure 5 slowdown cells, so warm caches written
-// before the two-phase split still answer them. Single-phase, the
-// closed-loop slowdown campaign runs up front and the queueing cells
-// find every slowdown memoized, as before the split.
+// campaign. The slowdown dependencies resolve through the campaign
+// engine's micro-sim layer — cache-keyed identically to the Figure 5
+// slowdown cells, so warm caches written before the two-phase split
+// still answer them.
 func (s *Suite) EnergyCells() ([]energyCell, error) {
 	if s.energyRun {
 		return s.energy, s.energyErr
@@ -308,12 +236,6 @@ func (s *Suite) EnergyCells() ([]energyCell, error) {
 	if s.engErr != nil {
 		s.energyErr = s.engErr
 		return nil, s.energyErr
-	}
-	if s.opts.SinglePhase {
-		if _, err := s.Slowdowns(); err != nil {
-			s.energyErr = err
-			return nil, err
-		}
 	}
 	s.energy, s.energyErr = campaign.Run(s.eng, s.energyTasks())
 	return s.energy, s.energyErr

@@ -10,12 +10,12 @@ import (
 
 // TestCellDigestExecEquivalence pins the cache-digest half of the
 // execution-mode equivalence contract: a matrix cell simulated on the
-// discrete-event engine, with the legacy fast-forward loop, and stepped
-// cycle by cycle must serialize to the same bytes — so its campaign
-// cache digest, and therefore every cache entry and fleet shard
-// assignment, is independent of how simulated time advanced.
+// discrete-event engine and stepped cycle by cycle must serialize to the
+// same bytes — so its campaign cache digest, and therefore every cache
+// entry and fleet shard assignment, is independent of how simulated
+// time advanced.
 func TestCellDigestExecEquivalence(t *testing.T) {
-	modes := []core.ExecMode{core.ExecStepped, core.ExecFastForward, core.ExecEvent}
+	modes := []core.ExecMode{core.ExecStepped, core.ExecEvent}
 	spec := workload.McRouter()
 	var digests []string
 	for _, mode := range modes {

@@ -8,7 +8,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"duplexity/internal/campaign"
 	"duplexity/internal/core"
@@ -42,12 +41,6 @@ type Options struct {
 	// TestCellDigestExecEquivalence pins; the knob exists for that test
 	// and for debugging.
 	Exec core.ExecMode
-	// SinglePhase disables the two-layer (micro-sim + queueing) cache
-	// split for decomposable cell kinds: every cell computes its full
-	// pipeline monolithically, as before the split. Results and cache
-	// bytes are byte-identical either way (TestTwoPhaseByteIdentity);
-	// the knob exists for the A/B benchmark and for debugging.
-	SinglePhase bool
 }
 
 func (o Options) withDefaults() Options {
@@ -163,20 +156,9 @@ type Suite struct {
 	matrixErr error
 	matrixRun bool
 
-	slowdowns    map[slowKey]float64
-	serviceBase  map[string]float64
-	slowdownsRun bool
-	slowdownsErr error
-
 	energy    []energyCell
 	energyRun bool
 	energyErr error
-
-	// rawSlow memoizes closed-loop cycles-per-request for the served
-	// energyprop path, which (unlike the figure methods) runs cells
-	// concurrently and so needs the mutex.
-	slowMu  sync.Mutex
-	rawSlow map[slowKey]float64
 }
 
 // NewSuite builds a harness with the given fidelity options. An engine

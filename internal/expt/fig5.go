@@ -150,19 +150,6 @@ func (s *Suite) Fig5c() (*Table, error) {
 	return t, nil
 }
 
-// tailP99 runs the BigHouse-style queueing stage for one design point
-// over the Slowdowns() memo — the legacy inline path, kept for the
-// single-phase A/B baseline (-single-phase). The default Figure 5(d)/(e)
-// path resolves the same computation as content-addressed tail cells
-// (see tail.go); both execute queueTail, so they agree byte-for-byte.
-func (s *Suite) tailP99(design core.Design, spec *workload.Spec, load, lambdaQPS float64) (float64, error) {
-	c, err := s.queueTail(design, spec, load, lambdaQPS, s.slowdowns[slowKey{design, spec.Name}])
-	if err != nil {
-		return 0, err
-	}
-	return c.P99Us, nil
-}
-
 // tailTable renders a normalized Figure 5(d)/(e)-shaped table from a
 // per-(workload, load) p99 lookup.
 func (s *Suite) tailTable(title string, notes []string, p99 func(d core.Design, spec *workload.Spec, load float64) (float64, error)) (*Table, error) {
@@ -235,20 +222,11 @@ var fig5dNotes = []string{
 // queueing results themselves are cached — previously they were
 // recomputed inline on every invocation.
 func (s *Suite) Fig5d() (*Table, error) {
-	const title = "Figure 5(d): normalized 99th-percentile tail latency"
-	if s.opts.SinglePhase {
-		if _, err := s.Slowdowns(); err != nil {
-			return nil, err
-		}
-		return s.tailTable(title, fig5dNotes, func(d core.Design, spec *workload.Spec, load float64) (float64, error) {
-			return s.tailP99(d, spec, load, spec.QPSAtLoad(load))
-		})
-	}
 	lookup, err := s.tailCellLookup(s.tailMatrixTasks())
 	if err != nil {
 		return nil, err
 	}
-	return s.tailTable(title, fig5dNotes, lookup)
+	return s.tailTable("Figure 5(d): normalized 99th-percentile tail latency", fig5dNotes, lookup)
 }
 
 // Fig5e regenerates Figure 5(e): iso-throughput 99th-percentile tail
@@ -288,14 +266,6 @@ func (s *Suite) Fig5e() (*Table, error) {
 	const title = "Figure 5(e): normalized iso-throughput 99th-percentile tail latency"
 	notes := []string{
 		"arrival rate scaled per design by its performance density (equal cost comparison)",
-	}
-	if s.opts.SinglePhase {
-		if _, err := s.Slowdowns(); err != nil {
-			return nil, err
-		}
-		return s.tailTable(title, notes, func(d core.Design, spec *workload.Spec, load float64) (float64, error) {
-			return s.tailP99(d, spec, load, isoLambda(d, spec, load))
-		})
 	}
 	var tasks []campaign.Task[tailCell]
 	for _, spec := range suiteSpecs() {

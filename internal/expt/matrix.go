@@ -31,11 +31,6 @@ type cell struct {
 	MicroP99Us   float64 `json:"micro_p99_us,omitempty"`
 }
 
-type slowKey struct {
-	design   core.Design
-	workload string
-}
-
 // cellKey content-addresses one campaign cell: everything that can
 // change the cell's result is in the key, so the on-disk cache is
 // invalidated exactly when it must be (see campaign.Key).
@@ -169,11 +164,10 @@ func (s *Suite) Matrix() ([]cell, error) {
 
 // freqAdjSlowdown converts raw closed-loop cycles-per-request for a
 // design and the baseline into the frequency-adjusted service-time
-// inflation. Every consumer — Slowdowns(), the energyprop memo path,
-// and the two-phase queue closures that recompute the value from
-// cached phase-1 bytes — funnels through this one expression, so the
-// float arithmetic (and therefore cached cell bytes) is identical on
-// all of them.
+// inflation. ServiceSlowdowns and the two-phase queue closures, which
+// recompute the value from cached phase-1 bytes, both funnel through
+// this one expression, so the float arithmetic (and therefore cached
+// cell bytes) is identical on both.
 func freqAdjSlowdown(design core.Design, v, base float64) float64 {
 	return (v / design.FreqGHz()) / (base / core.DesignBaseline.FreqGHz())
 }
@@ -202,73 +196,4 @@ func (s *Suite) measureSlowdown(design core.Design, spec *workload.Spec) (float6
 		return 0, fmt.Errorf("no requests completed for %v/%s", design, spec.Name)
 	}
 	return float64(d.Now()) / float64(done), nil
-}
-
-// Slowdowns measures each design's service-time inflation per workload
-// with a saturated closed-loop run (the Section V methodology: IPC
-// slowdowns measured in the cycle-level simulator scale the service
-// distribution used by the request-granularity queueing simulation).
-// The 35 closed-loop measurements are independent cells and run on the
-// same campaign engine as the matrix.
-func (s *Suite) Slowdowns() (map[slowKey]float64, error) {
-	if s.slowdownsRun {
-		return s.slowdowns, s.slowdownsErr
-	}
-	s.slowdownsRun = true
-	if s.engErr != nil {
-		s.slowdownsErr = s.engErr
-		return nil, s.slowdownsErr
-	}
-
-	specs := suiteSpecs()
-	var tasks []campaign.Task[float64]
-	for _, spec := range specs {
-		for _, design := range core.AllDesigns {
-			design, spec := design, spec
-			tasks = append(tasks, campaign.Task[float64]{
-				Key: s.cellKey("slowdown", design, spec, 0, ""),
-				Run: func() (float64, error) { return s.measureSlowdown(design, spec) },
-			})
-		}
-	}
-	svc, err := campaign.Run(s.eng, tasks)
-	if err != nil {
-		s.slowdownsErr = err
-		return nil, err
-	}
-
-	baseIdx := 0
-	for i, d := range core.AllDesigns {
-		if d == core.DesignBaseline {
-			baseIdx = i
-		}
-	}
-	s.slowdowns = make(map[slowKey]float64)
-	s.serviceBase = make(map[string]float64)
-	// Seed the concurrent-safe raw memo too, so energyprop cells reuse
-	// these campaign-cached measurements instead of re-simulating.
-	s.slowMu.Lock()
-	if s.rawSlow == nil {
-		s.rawSlow = make(map[slowKey]float64)
-	}
-	for si, spec := range specs {
-		for di, design := range core.AllDesigns {
-			s.rawSlow[slowKey{design, spec.Name}] = svc[si*len(core.AllDesigns)+di]
-		}
-	}
-	s.slowMu.Unlock()
-	for si, spec := range specs {
-		base := svc[si*len(core.AllDesigns)+baseIdx]
-		s.serviceBase[spec.Name] = base
-		for di, design := range core.AllDesigns {
-			if design == core.DesignBaseline {
-				s.slowdowns[slowKey{design, spec.Name}] = 1.0
-				continue
-			}
-			// Frequency-adjust: cycles per request at different clocks.
-			v := svc[si*len(core.AllDesigns)+di]
-			s.slowdowns[slowKey{design, spec.Name}] = freqAdjSlowdown(design, v, base)
-		}
-	}
-	return s.slowdowns, nil
 }

@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"duplexity/internal/campaign"
 	"duplexity/internal/core"
 	"duplexity/internal/power"
 )
@@ -55,9 +56,27 @@ func (s *Suite) Workloads() *Table {
 }
 
 // ServiceSlowdowns reports the measured per-design service-time inflation
-// feeding Figures 5(d) and 5(e) (a diagnostic table).
+// feeding Figures 5(d) and 5(e) (a diagnostic table). Each inflation
+// comes from a saturated closed-loop run (the Section V methodology:
+// IPC slowdowns measured in the cycle-level simulator scale the service
+// distribution used by the request-granularity queueing simulation).
+// The 35 closed-loop measurements are the slowdown cells that tail and
+// energyprop cells resolve as micro-sims, run on the campaign engine.
 func (s *Suite) ServiceSlowdowns() (*Table, error) {
-	slows, err := s.Slowdowns()
+	if s.engErr != nil {
+		return nil, s.engErr
+	}
+	specs := suiteSpecs()
+	var tasks []campaign.Task[float64]
+	for _, spec := range specs {
+		for _, design := range core.AllDesigns {
+			tasks = append(tasks, campaign.Task[float64]{
+				Key: s.cellKey(KindSlowdown, design, spec, 0, ""),
+				Run: func() (float64, error) { return s.measureSlowdown(design, spec) },
+			})
+		}
+	}
+	svc, err := campaign.Run(s.eng, tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -65,13 +84,25 @@ func (s *Suite) ServiceSlowdowns() (*Table, error) {
 		Title:   "Measured service-time slowdown vs Baseline (saturated closed loop)",
 		Columns: designColumns("workload"),
 	}
-	for _, spec := range suiteSpecs() {
+	n := len(core.AllDesigns)
+	for si, spec := range specs {
+		perDesign := svc[si*n : (si+1)*n]
+		var base float64
+		for di, d := range core.AllDesigns {
+			if d == core.DesignBaseline {
+				base = perDesign[di]
+			}
+		}
 		row := []string{spec.Name}
-		for _, d := range core.AllDesigns {
-			row = append(row, f2(slows[slowKey{d, spec.Name}]))
+		for di, d := range core.AllDesigns {
+			slow := 1.0
+			if d != core.DesignBaseline {
+				slow = freqAdjSlowdown(d, perDesign[di], base)
+			}
+			row = append(row, f2(slow))
 		}
 		t.AddRow(row...)
-		baseUs := s.serviceBase[spec.Name] / (core.DesignBaseline.FreqGHz() * 1e3)
+		baseUs := base / (core.DesignBaseline.FreqGHz() * 1e3)
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("%s measured baseline service: %.1f µs (nominal %.1f)", spec.Name, baseUs, spec.NominalServiceUs))
 	}

@@ -16,8 +16,8 @@ import (
 // every CLI invocation — ~240 BigHouse-style simulations per run even
 // with a fully warm cache. A tail cell is the canonical two-phase
 // shape: its phase-1 dependencies are the closed-loop "slowdown"
-// micro-sims (cache-keyed identically to the legacy Slowdowns()
-// campaign, so warm pre-split caches already hold them), and its
+// micro-sims (cache-keyed identically to the slowdown cells of
+// ServiceSlowdowns, so warm pre-split caches already hold them), and its
 // phase-2 result is the queueing simulation over the derived slowdown.
 
 // tailCell is one cached queueing-stage point. Fields are exported for
@@ -43,8 +43,8 @@ func (s *Suite) tailKey(design core.Design, spec *workload.Spec, load, lambdaQPS
 // slowMicros enumerates the phase-1 micro-sim dependencies of a cell
 // whose queueing stage needs the design's frequency-adjusted slowdown:
 // the design's own closed-loop measurement and the baseline's, in that
-// order. The baseline design needs neither (its slowdown is 1.0 by
-// definition), mirroring slowdownFor's short-circuit.
+// order. The baseline design needs neither: its slowdown is 1.0 by
+// definition.
 func (s *Suite) slowMicros(design core.Design, spec *workload.Spec) []campaign.MicroTask {
 	if design == core.DesignBaseline {
 		return nil
@@ -65,9 +65,10 @@ func (s *Suite) slowMicros(design core.Design, spec *workload.Spec) []campaign.M
 }
 
 // slowFromMicros derives the frequency-adjusted slowdown from phase-1
-// bytes, with exactly the arithmetic every monolithic path uses
-// (freqAdjSlowdown), so phase-2 results are byte-identical to
-// single-phase cells. The micro order matches slowMicros.
+// bytes through freqAdjSlowdown, the arithmetic the cells computed in
+// one piece before the two-layer split used, so phase-2 results keep
+// their recorded bytes (TestTwoPhaseByteIdentity). The micro order
+// matches slowMicros.
 func slowFromMicros(design core.Design, micro []json.RawMessage) (float64, error) {
 	if design == core.DesignBaseline {
 		return 1.0, nil
@@ -86,10 +87,8 @@ func slowFromMicros(design core.Design, micro []json.RawMessage) (float64, error
 }
 
 // queueTail runs the BigHouse-style queueing stage for one design
-// point over an already-derived slowdown. This is the legacy tailP99
-// body verbatim — the single-phase inline path, the monolithic cell,
-// and the two-phase queue closure all execute this exact code, so all
-// three produce identical results.
+// point over an already-derived slowdown: the phase-2 body of a tail
+// cell.
 func (s *Suite) queueTail(design core.Design, spec *workload.Spec, load, lambdaQPS, slow float64) (tailCell, error) {
 	if slow == 0 {
 		return tailCell{}, fmt.Errorf("expt: no slowdown for %v/%s", design, spec.Name)
@@ -133,27 +132,6 @@ func (s *Suite) queueTail(design core.Design, spec *workload.Spec, load, lambdaQ
 	}, nil
 }
 
-// runTailCell computes one tail cell monolithically: the opaque-cell
-// baseline, deriving everything (including the closed-loop micro-sims)
-// from the cell's own inputs with no cross-cell sharing. The campaign
-// A/B in scripts/bench.sh times this against the two-phase path; it is
-// also the local fallback when a fleet remote fails mid-campaign.
-func (s *Suite) runTailCell(design core.Design, spec *workload.Spec, load, lambdaQPS float64) (tailCell, error) {
-	slow := 1.0
-	if design != core.DesignBaseline {
-		v, err := s.measureSlowdown(design, spec)
-		if err != nil {
-			return tailCell{}, err
-		}
-		base, err := s.measureSlowdown(core.DesignBaseline, spec)
-		if err != nil {
-			return tailCell{}, err
-		}
-		slow = freqAdjSlowdown(design, v, base)
-	}
-	return s.queueTail(design, spec, load, lambdaQPS, slow)
-}
-
 // tailTwoPhase builds the two-phase decomposition of one tail cell.
 func (s *Suite) tailTwoPhase(design core.Design, spec *workload.Spec, load, lambdaQPS float64) *campaign.TwoPhase {
 	return &campaign.TwoPhase{
@@ -172,17 +150,12 @@ func (s *Suite) tailTwoPhase(design core.Design, spec *workload.Spec, load, lamb
 	}
 }
 
-// tailTask builds one tail campaign task: two-phase by default,
-// monolithic under Options.SinglePhase.
+// tailTask builds one tail campaign task.
 func (s *Suite) tailTask(design core.Design, spec *workload.Spec, load, lambdaQPS float64) campaign.Task[tailCell] {
-	t := campaign.Task[tailCell]{
-		Key: s.tailKey(design, spec, load, lambdaQPS),
-		Run: func() (tailCell, error) { return s.runTailCell(design, spec, load, lambdaQPS) },
+	return campaign.Task[tailCell]{
+		Key:      s.tailKey(design, spec, load, lambdaQPS),
+		TwoPhase: s.tailTwoPhase(design, spec, load, lambdaQPS),
 	}
-	if !s.opts.SinglePhase {
-		t.TwoPhase = s.tailTwoPhase(design, spec, load, lambdaQPS)
-	}
-	return t
 }
 
 // tailMatrixTasks enumerates the 105-cell tail campaign — every design
@@ -203,10 +176,9 @@ func (s *Suite) tailMatrixTasks() []campaign.Task[tailCell] {
 }
 
 // TailMatrix runs the 105-cell tail campaign and renders the absolute
-// p99 latencies (Figure 5(d) before normalization). Cold, the
-// two-phase path computes exactly one closed-loop micro-sim per
-// design×workload (35) however many loads fan out from it; the
-// single-phase baseline re-measures them inside every cell.
+// p99 latencies (Figure 5(d) before normalization). Cold, it computes
+// exactly one closed-loop micro-sim per design×workload (35) however
+// many loads fan out from it.
 func (s *Suite) TailMatrix() (*Table, error) {
 	if s.engErr != nil {
 		return nil, s.engErr

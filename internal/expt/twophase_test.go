@@ -27,10 +27,10 @@ func rawFor(t *testing.T, opts Options, cs CellSpec) (string, []byte) {
 
 // goldenTwoPhase pins, for each decomposable cell, its content address
 // and the SHA-256 of its cache-entry result bytes. They were recorded
-// from the monolithic single-phase path, which computed every cell's
-// whole pipeline in one closure before the two-layer cache split; the
-// two-phase path must keep producing those exact addresses and bytes,
-// so warm caches written before the split keep hitting, byte for byte.
+// from the monolithic path, which computed each cell's whole pipeline
+// in one closure as before the two-layer cache split; the two-phase
+// path must keep producing those exact addresses and bytes, so warm
+// caches written before the split keep hitting, byte for byte.
 var goldenTwoPhase = []struct {
 	cell         CellSpec
 	digest, hash string
@@ -63,27 +63,20 @@ func TestTwoPhaseByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two cold micro-sims per case")
 	}
-	base := Options{Scale: 0.02, Seed: 1}
-	check := func(mode string, opts Options) {
-		for _, g := range goldenTwoPhase {
-			cs := g.cell
-			digest, result := rawFor(t, opts, cs)
-			sum := sha256.Sum256(result)
-			hash := hex.EncodeToString(sum[:])
-			if digest != g.digest {
-				t.Errorf("%s %s %s/%s gov=%q lambda=%v: digest %s, want %s",
-					mode, cs.Kind, cs.Design, cs.Workload, cs.Governor, cs.Lambda, digest, g.digest)
-			}
-			if hash != g.hash {
-				t.Errorf("%s %s %s/%s gov=%q lambda=%v: result sha256 %s, want %s\n result %s",
-					mode, cs.Kind, cs.Design, cs.Workload, cs.Governor, cs.Lambda, hash, g.hash, result)
-			}
+	for _, g := range goldenTwoPhase {
+		cs := g.cell
+		digest, result := rawFor(t, Options{Scale: 0.02, Seed: 1}, cs)
+		sum := sha256.Sum256(result)
+		hash := hex.EncodeToString(sum[:])
+		if digest != g.digest {
+			t.Errorf("%s %s/%s gov=%q lambda=%v: digest %s, want %s",
+				cs.Kind, cs.Design, cs.Workload, cs.Governor, cs.Lambda, digest, g.digest)
+		}
+		if hash != g.hash {
+			t.Errorf("%s %s/%s gov=%q lambda=%v: result sha256 %s, want %s\n result %s",
+				cs.Kind, cs.Design, cs.Workload, cs.Governor, cs.Lambda, hash, g.hash, result)
 		}
 	}
-	mono := base
-	mono.SinglePhase = true
-	check("single-phase", mono)
-	check("two-phase", base)
 }
 
 // The cold tail campaign computes exactly one slowdown micro-sim per

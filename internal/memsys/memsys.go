@@ -102,8 +102,8 @@ func NewTableIShared(name string, freqGHz float64) *Shared {
 // A Port is passive with respect to simulated time: it holds no
 // per-cycle state and mutates (cache contents, prefetch trackers,
 // missFreeAt) only inside Access calls made by a stepping core. The
-// event-driven fast-forward path (see core.Dyad.NextEvent) therefore
-// needs no NextEvent from the memory system — a span with no core
+// discrete-event engine (internal/core, engine.go) therefore needs no
+// NextEvent from the memory system — a span with no core
 // activity cannot change it, and missFreeAt comparisons against a
 // later now yield exactly what cycle-by-cycle stepping would have.
 type Port struct {

@@ -6,9 +6,9 @@
 // within 5% of the estimate.
 //
 // The simulator is already discrete-event — it advances from arrival to
-// departure directly, never ticking a cycle clock — so the event-driven
-// fast-forward machinery of the cycle-level layers (core.Dyad.NextEvent)
-// does not apply here: there are no dead cycles to skip.
+// departure directly, never ticking a cycle clock — so the cycle-level
+// layers' discrete-event engine (internal/core, engine.go) does not
+// apply here: there are no dead cycles to skip.
 package queueing
 
 import (

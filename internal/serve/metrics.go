@@ -92,7 +92,7 @@ func (s *Server) metricsSnapshot() telemetry.Snapshot {
 		cs.Counter("errors").Set(uint64(st.Errors))
 		// Per-layer counters of the two-phase cache split: micro-sim
 		// (phase-1) resolutions and queueing (phase-2) cells. Zero on a
-		// daemon that has served only monolithic cells.
+		// daemon that has served only matrix and slowdown cells.
 		cs.Counter("cells.microsim_hits").Set(uint64(st.MicrosimHits))
 		cs.Counter("cells.microsim_misses").Set(uint64(st.MicrosimMisses))
 		cs.Counter("cells.queueing_hits").Set(uint64(st.QueueingHits))

@@ -42,10 +42,10 @@ echo "== go test -race (telemetry, core, campaign, expt, serve, e2e) =="
 # race-relevant code paths (telemetry emission, collection, spans) are
 # covered by the telemetry suite and the root TestE2E tests below.
 go test -race -short -timeout 15m ./internal/telemetry/... ./internal/core/...
-# The quick three-way execution-mode equivalence check (stepped vs
-# fast-forward vs discrete-event engine) is sized to run under the race
-# detector and is named explicitly so a -short or -run tweak above can
-# never silently drop it from the raced gate.
+# The quick execution-mode equivalence check (stepped vs the
+# discrete-event engine) is sized to run under the race detector and is
+# named explicitly so a -short or -run tweak above can never silently
+# drop it from the raced gate.
 go test -race -run 'TestEventEquivalenceQuick' -timeout 15m ./internal/core
 # The campaign engine fans simulation cells across a worker pool; these
 # suites run real cycle-level cells concurrently (full-matrix tests
