@@ -63,40 +63,40 @@ func makeTracedDyad(t *testing.T, design Design, qps float64, mode ExecMode) (*D
 // cycle-by-cycle reference ended in externally identical states: clock,
 // every stats struct, the telemetry event stream, the collected metric
 // registry, the formatted thread report, and the raw latency samples.
-func compareDyads(t *testing.T, design Design, mode ExecMode, got, ref *Dyad, gotSink, refSink *hashSink) {
+func compareDyads(t *testing.T, design Design, got, ref *Dyad, gotSink, refSink *hashSink) {
 	t.Helper()
 	if got.Now() != ref.Now() {
-		t.Fatalf("%v/%v: clock diverged: %d vs stepped %d", design, mode, got.Now(), ref.Now())
+		t.Fatalf("%v: clock diverged: %d vs stepped %d", design, got.Now(), ref.Now())
 	}
 	if gotSink.n != refSink.n || gotSink.h != refSink.h {
-		t.Fatalf("%v/%v: telemetry streams diverged: %d events hash %x, stepped %d events hash %x",
-			design, mode, gotSink.n, gotSink.h, refSink.n, refSink.h)
+		t.Fatalf("%v: telemetry streams diverged: %d events hash %x, stepped %d events hash %x",
+			design, gotSink.n, gotSink.h, refSink.n, refSink.h)
 	}
 	if a, b := *got.MasterOoO.ThreadStats(0), *ref.MasterOoO.ThreadStats(0); a != b {
-		t.Fatalf("%v/%v: master thread stats diverged:\ngot     %+v\nstepped %+v", design, mode, a, b)
+		t.Fatalf("%v: master thread stats diverged:\ngot     %+v\nstepped %+v", design, a, b)
 	}
 	if got.MasterOoO.Stats != ref.MasterOoO.Stats {
-		t.Fatalf("%v/%v: master core stats diverged:\ngot     %+v\nstepped %+v",
-			design, mode, got.MasterOoO.Stats, ref.MasterOoO.Stats)
+		t.Fatalf("%v: master core stats diverged:\ngot     %+v\nstepped %+v",
+			design, got.MasterOoO.Stats, ref.MasterOoO.Stats)
 	}
 	if (got.Master == nil) != (ref.Master == nil) {
-		t.Fatalf("%v/%v: master-core presence diverged", design, mode)
+		t.Fatalf("%v: master-core presence diverged", design)
 	}
 	if got.Master != nil && got.Master.Stats != ref.Master.Stats {
-		t.Fatalf("%v/%v: morph stats diverged:\ngot     %+v\nstepped %+v",
-			design, mode, got.Master.Stats, ref.Master.Stats)
+		t.Fatalf("%v: morph stats diverged:\ngot     %+v\nstepped %+v",
+			design, got.Master.Stats, ref.Master.Stats)
 	}
 	if a, b := got.Latencies.Samples(), ref.Latencies.Samples(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("%v/%v: latency samples diverged: got %d samples, stepped %d", design, mode, len(a), len(b))
+		t.Fatalf("%v: latency samples diverged: got %d samples, stepped %d", design, len(a), len(b))
 	}
 	gotReg, refReg := telemetry.NewRegistry(), telemetry.NewRegistry()
 	got.CollectInto(gotReg)
 	ref.CollectInto(refReg)
 	if a, b := gotReg.Snapshot(got.Now()), refReg.Snapshot(ref.Now()); !reflect.DeepEqual(a, b) {
-		t.Fatalf("%v/%v: collected registries diverged:\ngot     %+v\nstepped %+v", design, mode, a, b)
+		t.Fatalf("%v: collected registries diverged:\ngot     %+v\nstepped %+v", design, a, b)
 	}
 	if a, b := got.ThreadReport(), ref.ThreadReport(); a != b {
-		t.Fatalf("%v/%v: thread reports diverged:\ngot:\n%s\nstepped:\n%s", design, mode, a, b)
+		t.Fatalf("%v: thread reports diverged:\ngot:\n%s\nstepped:\n%s", design, a, b)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestEventEquivalence(t *testing.T) {
 		}
 		d, sink := makeTracedDyad(t, design, 100_000, ExecEvent)
 		d.Run(budget)
-		compareDyads(t, design, ExecEvent, d, ref, sink, refSink)
+		compareDyads(t, design, d, ref, sink, refSink)
 		if design == DesignBaseline && d.SkippedCycles == 0 {
 			t.Fatalf("%v: never skipped (remote stalls should quiesce the dyad)", design)
 		}
@@ -138,7 +138,7 @@ func TestEventEquivalenceUntilRequests(t *testing.T) {
 		if n != nref {
 			t.Fatalf("%v: completed requests diverged: %d vs stepped %d", design, n, nref)
 		}
-		compareDyads(t, design, ExecEvent, d, ref, sink, refSink)
+		compareDyads(t, design, d, ref, sink, refSink)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestEventEquivalenceQuick(t *testing.T) {
 		ref.Run(budget)
 		d, sink := makeTracedDyad(t, design, 100_000, ExecEvent)
 		d.Run(budget)
-		compareDyads(t, design, ExecEvent, d, ref, sink, refSink)
+		compareDyads(t, design, d, ref, sink, refSink)
 	}
 }
 

@@ -65,10 +65,8 @@ func (s *Suite) slowMicros(design core.Design, spec *workload.Spec) []campaign.M
 }
 
 // slowFromMicros derives the frequency-adjusted slowdown from phase-1
-// bytes through freqAdjSlowdown, the arithmetic the cells computed in
-// one piece before the two-layer split used, so phase-2 results keep
-// their recorded bytes (TestTwoPhaseByteIdentity). The micro order
-// matches slowMicros.
+// bytes through freqAdjSlowdown, so phase-2 results keep their recorded
+// bytes (TestTwoPhaseByteIdentity). The micro order matches slowMicros.
 func slowFromMicros(design core.Design, micro []json.RawMessage) (float64, error) {
 	if design == core.DesignBaseline {
 		return 1.0, nil
