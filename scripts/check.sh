@@ -42,41 +42,10 @@ echo "== go test -race (telemetry, core, campaign, expt, serve, e2e) =="
 # race-relevant code paths (telemetry emission, collection, spans) are
 # covered by the telemetry suite and the root TestE2E tests below.
 go test -race -short -timeout 15m ./internal/telemetry/... ./internal/core/...
-# The quick execution-mode equivalence check (stepped vs the
-# discrete-event engine) is sized to run under the race detector and is
-# named explicitly so a -short or -run tweak above can never silently
-# drop it from the raced gate.
-go test -race -run 'TestEventEquivalenceQuick' -timeout 15m ./internal/core
 # The campaign engine fans simulation cells across a worker pool; these
 # suites run real cycle-level cells concurrently (full-matrix tests
 # self-skip under race via the raceEnabled build-tag guard).
 go test -race -timeout 15m ./internal/campaign ./internal/expt
-# The two-layer cache split's correctness spine: the golden digest pins
-# for both key layers, the byte-identity of two-phase cells against
-# their monolithic equivalents, and the micro-sim singleflight under
-# contention. Named explicitly so a -run or -short tweak above can
-# never silently drop the warm-cache compatibility guarantee from the
-# raced gate.
-go test -race -timeout 15m \
-    -run 'TestLegacyDigestPinned|TestLambdaZeroKeepsLegacyDigest|TestTwoPhaseDigestsPinned|TestTwoPhaseByteIdentity|TestTwoPhaseMicroComputedOnce|TestTwoPhaseWarmAndGridChange|TestTwoPhaseSingleflight' \
-    ./internal/campaign ./internal/expt
-# Served cells share one process-wide table of Section V workload specs
-# and fingerprints across goroutines. The read-only guard, the served
-# key and entry identity tests and the address pins are named
-# explicitly so a -run tweak above can never drop them from the raced
-# gate.
-go test -race -timeout 15m \
-    -run 'TestSuiteWorkloadsReadOnly|TestSpecDigestsPinned|TestServedKeyMatchesCLI|TestRunServedMatchesCLIEntry|TestTailServedKeyDefaults' \
-    ./internal/expt
-# The exact HTTP response bytes of a served cell of every kind (cold
-# and warm /v1/cells, /v1/exec), and the warm hit answered on the
-# request goroutine: racing Drain, undecodable entries as misses, and
-# hits that grow neither the journal nor the timing rows. Named
-# explicitly so a -run tweak above can never drop them from the raced
-# gate.
-go test -race -timeout 15m \
-    -run 'TestServedBodiesPinned|TestInlineHitDrainRace|TestUndecodableEntryIsMiss|TestWarmHitsBounded' \
-    ./internal/serve
 # The serving layer is the most concurrency-dense package in the repo
 # (admission, coalescing, drain, panic isolation all cross goroutines);
 # its whole suite, including the real-simulator e2e tests, runs raced.
@@ -97,13 +66,6 @@ go test -race -run 'TestE2E' -timeout 15m .
 # stats package carries the latency recorder the queueing stage's
 # convergence checks and percentiles read.
 go test -race -timeout 15m ./internal/idle ./internal/stats ./internal/queueing ./internal/power
-# Trace propagation crosses every concurrency boundary in the system
-# (admission queue, coalesced flights, hedged dispatch, ring snapshot);
-# name the trace suites explicitly so a -run filter tweak above can
-# never silently drop them from the raced gate.
-go test -race -timeout 15m \
-    -run 'TestTracez|TestCoalescedFollowerTrace|TestTracingOff|TestMetricsz|TestHedgedTrace|TestE2EFleetStitched|TestDoRawTraced|TestLockedRing' \
-    ./internal/serve ./internal/fleet ./internal/campaign ./internal/telemetry
 
 echo "== energyprop smoke =="
 # End-to-end: CLI energyprop determinism across worker counts, warm
