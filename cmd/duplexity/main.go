@@ -254,9 +254,7 @@ func main() {
 	cs := s.CampaignStats()
 	if cs.Cells > 0 {
 		// phase1/phase2 report the two-layer split's per-layer hits/misses
-		// (both 0/0 when no tail or energyprop cell ran). The field names
-		// must not contain "hits="/"misses=": scripts/energyprop_smoke.sh
-		// reads the last "misses=" on the line.
+		// (both 0/0 when no tail or energyprop cell ran).
 		fmt.Fprintf(os.Stderr, "campaign: workers=%d cells=%d hits=%d misses=%d remote=%d sim_wall_s=%.3f phase1=%d/%d phase2=%d/%d\n",
 			cs.Workers, cs.Cells, cs.Hits, cs.Misses, cs.Remote, cs.SimWallSeconds,
 			cs.MicrosimHits, cs.MicrosimMisses, cs.QueueingHits, cs.QueueingMisses)

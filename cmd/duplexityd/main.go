@@ -375,7 +375,8 @@ type serveHooks struct {
 // finishing in-flight cells, flushing the campaign checkpoint) before
 // shutting the listener down.
 func serveUntilSignal(srv *serve.Server, handler http.Handler, addr, banner string, drainTimeout time.Duration, hooks *serveHooks) error {
-	// Bind before announcing so scripts can poll the printed address.
+	// Bind before announcing, so the banner names the bound address
+	// (the real port when addr asks for :0).
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

@@ -11,7 +11,7 @@ import (
 // stallStream builds the stall-heavy microservice-like workload the
 // hot-loop benchmarks run: generic integer/memory mix with a ~1µs
 // remote access every ~2000 instructions, so the core spends most of
-// its time in exactly the stalled spans the fast-forward path targets.
+// its time in exactly the stalled spans the event engine skips.
 func stallStream(seed uint64) isa.Stream {
 	return isa.MustSynthStream(isa.SynthConfig{
 		Seed: seed, LoadFrac: 0.22, StoreFrac: 0.08, BranchFrac: 0.14,
@@ -66,18 +66,6 @@ func BenchmarkOoOStep(b *testing.B) {
 		c.Step(now)
 		now++
 	}
-}
-
-// BenchmarkOoORunFastForward measures the same workload through the
-// event-driven Run path, so skipped stall spans amortize to near-zero
-// cost per simulated cycle.
-func BenchmarkOoORunFastForward(b *testing.B) {
-	c := benchOoO(b, 1)
-	now := c.Run(0, 100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	now = c.Run(now, uint64(b.N))
-	_ = now
 }
 
 // BenchmarkInOStep measures the lender pipeline's per-cycle cost with

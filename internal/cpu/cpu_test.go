@@ -40,6 +40,13 @@ func chainStream() isa.Stream {
 	return &isa.Fixed{Instrs: instrs, Loop: true}
 }
 
+// run steps c once per cycle over [start, start+n).
+func run(c interface{ Step(uint64) }, start, n uint64) {
+	for now := start; now < start+n; now++ {
+		c.Step(now)
+	}
+}
+
 func newOoO(t *testing.T, streams []isa.Stream, cfg PipelineConfig) *OoOCore {
 	t.Helper()
 	i, d := testRig()
@@ -52,7 +59,7 @@ func newOoO(t *testing.T, streams []isa.Stream, cfg PipelineConfig) *OoOCore {
 
 func TestOoOIndependentALUNearWidth(t *testing.T) {
 	c := newOoO(t, []isa.Stream{aluStream()}, TableIConfig())
-	c.Run(0, 20000)
+	run(c, 0, 20000)
 	ipc := c.Stats.IPC()
 	if ipc < 3.5 {
 		t.Fatalf("independent ALU IPC = %v, want near 4", ipc)
@@ -61,7 +68,7 @@ func TestOoOIndependentALUNearWidth(t *testing.T) {
 
 func TestOoODependentChainIPC1(t *testing.T) {
 	c := newOoO(t, []isa.Stream{chainStream()}, TableIConfig())
-	c.Run(0, 20000)
+	run(c, 0, 20000)
 	ipc := c.Stats.IPC()
 	if ipc < 0.85 || ipc > 1.1 {
 		t.Fatalf("dependent chain IPC = %v, want ~1", ipc)
@@ -75,7 +82,7 @@ func TestOoOLoadPortLimit(t *testing.T) {
 		instrs[i] = isa.Instr{PC: uint64(0x1000 + i*4), Op: isa.OpLoad, Addr: 0x8000, Dst: isa.RegID(1 + i%8)}
 	}
 	c := newOoO(t, []isa.Stream{&isa.Fixed{Instrs: instrs, Loop: true}}, TableIConfig())
-	c.Run(0, 20000)
+	run(c, 0, 20000)
 	ipc := c.Stats.IPC()
 	if ipc < 1.6 || ipc > 2.2 {
 		t.Fatalf("load-bound IPC = %v, want ~2 (ld/st ports)", ipc)
@@ -89,7 +96,7 @@ func TestOoOMispredictsHurt(t *testing.T) {
 			BranchRandomFrac: randomFrac, DepP: 0,
 		}
 		c := newOoO(t, []isa.Stream{isa.MustSynthStream(cfg)}, TableIConfig())
-		c.Run(0, 50000)
+		run(c, 0, 50000)
 		return c.Stats.IPC()
 	}
 	predictable := mk(0)
@@ -106,7 +113,7 @@ func TestOoORemoteBlocksSingleThread(t *testing.T) {
 		RemoteEvery: 50, RemoteLat: stats.Deterministic{Value: 1000},
 	}
 	c := newOoO(t, []isa.Stream{isa.MustSynthStream(cfg)}, TableIConfig())
-	c.Run(0, 200000)
+	run(c, 0, 200000)
 	util := c.Stats.Utilization(4)
 	if util > 0.05 {
 		t.Fatalf("remote-bound utilization = %v, want < 0.05", util)
@@ -122,10 +129,10 @@ func TestSMTSecondThreadFillsRemoteStalls(t *testing.T) {
 		RemoteEvery: 100, RemoteLat: stats.Deterministic{Value: 1000},
 	}
 	solo := newOoO(t, []isa.Stream{isa.MustSynthStream(remote)}, TableIConfig())
-	solo.Run(0, 100000)
+	run(solo, 0, 100000)
 
 	duo := newOoO(t, []isa.Stream{isa.MustSynthStream(remote), aluStream()}, TableIConfig())
-	duo.Run(0, 100000)
+	run(duo, 0, 100000)
 	if duo.Stats.IPC() < 4*solo.Stats.IPC() {
 		t.Fatalf("SMT IPC %v does not recover stall cycles (solo %v)", duo.Stats.IPC(), solo.Stats.IPC())
 	}
@@ -137,11 +144,11 @@ func TestSMTPlusCapsCoRunner(t *testing.T) {
 	// thread 0's performance at the cost of thread 1.
 	mkChain := func() isa.Stream { return chainStream() }
 	plain := newOoO(t, []isa.Stream{mkChain(), aluStream()}, TableIConfig())
-	plain.Run(0, 50000)
+	run(plain, 0, 50000)
 	plainT0 := plain.ThreadStats(0).Retired
 
 	plus := newOoO(t, []isa.Stream{mkChain(), aluStream()}, SMTPlusConfig())
-	plus.Run(0, 50000)
+	run(plus, 0, 50000)
 	plusT0 := plus.ThreadStats(0).Retired
 	plusT1 := plus.ThreadStats(1).Retired
 
@@ -155,7 +162,7 @@ func TestSMTPlusCapsCoRunner(t *testing.T) {
 
 func TestOoOIdleThreadCountsIdle(t *testing.T) {
 	c := newOoO(t, []isa.Stream{&isa.Fixed{}}, TableIConfig())
-	c.Run(0, 1000)
+	run(c, 0, 1000)
 	if c.ThreadStats(0).IdleCycles == 0 {
 		t.Fatal("idle stream did not accumulate idle cycles")
 	}
@@ -178,7 +185,7 @@ func TestOoORequestEndCallback(t *testing.T) {
 		}
 		ends = append(ends, now)
 	}
-	c.Run(0, 5000)
+	run(c, 0, 5000)
 	if len(ends) == 0 {
 		t.Fatal("no request completions observed")
 	}
@@ -244,7 +251,7 @@ func TestMorphProtocol(t *testing.T) {
 
 func TestSquashWithoutRemote(t *testing.T) {
 	c := newOoO(t, []isa.Stream{aluStream()}, TableIConfig())
-	c.Run(0, 100)
+	run(c, 0, 100)
 	if c.SquashYoungerThanRemote(0) {
 		t.Fatal("squash reported success with no remote in flight")
 	}

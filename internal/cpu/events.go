@@ -2,15 +2,16 @@ package cpu
 
 import "duplexity/internal/isa"
 
-// This file implements the event-driven fast-forward surface of the core
-// models: NextEvent (the earliest cycle at which observable state can
-// change) and SkipCycles (bulk-charge the per-cycle counters a span of
-// quiescent cycles would have accumulated). The contract, documented in
-// DESIGN.md, is that for any cycle x in [now, NextEvent(now)) a call to
-// Step(x) would change nothing except the deterministic per-cycle
-// counters and round-robin pointers that SkipCycles replicates — so
-// skipping is invisible to every statistic, latency sample, and
-// telemetry event.
+// This file implements the skip surface of the core models: NextEvent
+// (the earliest cycle at which observable state can change) and
+// SkipCycles (bulk-charge the per-cycle counters a span of quiescent
+// cycles would have accumulated). Their only caller is the dyad-level
+// discrete-event engine (internal/core/engine.go); everything else
+// advances a core with Step. The contract, documented in DESIGN.md, is
+// that for any cycle x in [now, NextEvent(now)) a call to Step(x) would
+// change nothing except the deterministic per-cycle counters and
+// round-robin pointers that SkipCycles replicates — so skipping is
+// invisible to every statistic, latency sample, and telemetry event.
 
 // NoEvent mirrors isa.NoEvent for the core models: "no scheduled future
 // event".
@@ -145,17 +146,4 @@ func (c *OoOCore) SkipCycles(now, n uint64) {
 			t.Stats.IdleCycles += n
 		}
 	}
-}
-
-// maybeQuiescent is the cheap per-cycle gate Run uses before paying for
-// a full NextEvent scan: with no fetched and no waiting instructions on
-// any thread, the only possible progress is completion/commit or new
-// fetch work, both of which NextEvent prices exactly.
-func (c *OoOCore) maybeQuiescent() bool {
-	for _, t := range c.threads {
-		if t.fetchLen() != 0 || t.iqCount != 0 {
-			return false
-		}
-	}
-	return true
 }

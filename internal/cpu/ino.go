@@ -498,26 +498,3 @@ func (c *InOCore) SkipCycles(now, n uint64) {
 		}
 	}
 }
-
-// Run steps the core for n cycles starting at cycle start and returns the
-// next cycle value (start+n). Quiescent spans — every bound slot blocked
-// on a remote, a dependence, or an empty stream — are fast-forwarded via
-// NextEvent/SkipCycles; the result is bit-identical to n plain Steps.
-func (c *InOCore) Run(start, n uint64) uint64 {
-	end := start + n
-	now := start
-	for now < end {
-		if ev := c.NextEvent(now); ev > now+1 {
-			target := ev
-			if target > end {
-				target = end
-			}
-			c.SkipCycles(now, target-now)
-			now = target
-			continue
-		}
-		c.Step(now)
-		now++
-	}
-	return end
-}

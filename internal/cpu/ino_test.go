@@ -35,10 +35,10 @@ func batchStream(seed uint64) isa.Stream {
 func TestInOSingleThreadIPCBelowOoO(t *testing.T) {
 	ino := newInO(t, 1)
 	ino.Bind(0, batchStream(1), 0, 0)
-	ino.Run(0, 50000)
+	run(ino, 0, 50000)
 
 	ooo := newOoO(t, []isa.Stream{batchStream(1)}, TableIConfig())
-	ooo.Run(0, 50000)
+	run(ooo, 0, 50000)
 
 	if ino.Stats.IPC() >= ooo.Stats.IPC() {
 		t.Fatalf("InO single-thread IPC %v >= OoO %v", ino.Stats.IPC(), ooo.Stats.IPC())
@@ -58,7 +58,7 @@ func TestInOEightThreadsNearOoO(t *testing.T) {
 		streams = append(streams, s)
 		ino.Bind(i, s, 0, 0)
 	}
-	ino.Run(0, 100000)
+	run(ino, 0, 100000)
 
 	i2, d2 := testRig()
 	ooo, err := NewOoOCore(TableIConfig(), func() []isa.Stream {
@@ -71,7 +71,7 @@ func TestInOEightThreadsNearOoO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ooo.Run(0, 100000)
+	run(ooo, 0, 100000)
 
 	ratio := ino.Stats.IPC() / ooo.Stats.IPC()
 	if ratio < 0.75 {
@@ -87,7 +87,7 @@ func TestInOThreadScaling(t *testing.T) {
 		for i := 0; i < n; i++ {
 			c.Bind(i, batchStream(uint64(20+i)), 0, 0)
 		}
-		c.Run(0, 60000)
+		run(c, 0, 60000)
 		return c.Stats.IPC()
 	}
 	one, four, eight := ipcAt(1), ipcAt(4), ipcAt(8)
@@ -106,7 +106,7 @@ func TestInORemoteBlockAndRecovery(t *testing.T) {
 		RemoteEvery: 100, RemoteLat: stats.Deterministic{Value: 500},
 	}
 	c.Bind(0, isa.MustSynthStream(cfg), 0, 0)
-	c.Run(0, 100000)
+	run(c, 0, 100000)
 	if c.Slot(0).Stats.Remotes == 0 {
 		t.Fatal("no remotes issued")
 	}
@@ -118,7 +118,7 @@ func TestInORemoteBlockAndRecovery(t *testing.T) {
 	cfg2.RemoteEvery = 0
 	cfg2.RemoteLat = nil
 	c2.Bind(0, isa.MustSynthStream(cfg2), 0, 0)
-	c2.Run(0, 100000)
+	run(c2, 0, 100000)
 	if stalled > c2.Stats.IPC()/4 {
 		t.Fatalf("remote stalls not reflected: stalled %v vs clean %v", stalled, c2.Stats.IPC())
 	}
@@ -140,7 +140,7 @@ func TestInOOnRemoteHandled(t *testing.T) {
 		return RemoteHandled
 	}
 	_ = calls
-	c.Run(0, 20000)
+	run(c, 0, 20000)
 	if calls == 0 {
 		t.Fatal("OnRemote never called")
 	}
@@ -175,7 +175,7 @@ func TestInOBindUnbind(t *testing.T) {
 		t.Fatal("unbind left slot active")
 	}
 	// Stepping with no active slots must be safe.
-	c.Run(200, 10)
+	run(c, 200, 10)
 }
 
 func TestInOSlotCountValidation(t *testing.T) {

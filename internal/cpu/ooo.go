@@ -670,28 +670,3 @@ func (c *OoOCore) fetch(now uint64) {
 		c.Stats.FetchStallCycles++
 	}
 }
-
-// Run steps the core for n cycles starting at cycle start and returns the
-// next cycle value (start+n). Quiescent spans — every thread stalled on a
-// long-latency completion or an empty stream — are fast-forwarded via
-// NextEvent/SkipCycles; the result is bit-identical to n plain Steps.
-func (c *OoOCore) Run(start, n uint64) uint64 {
-	end := start + n
-	now := start
-	for now < end {
-		if c.maybeQuiescent() {
-			if ev := c.NextEvent(now); ev > now+1 {
-				target := ev
-				if target > end {
-					target = end
-				}
-				c.SkipCycles(now, target-now)
-				now = target
-				continue
-			}
-		}
-		c.Step(now)
-		now++
-	}
-	return end
-}

@@ -62,6 +62,13 @@ func (s *Suite) Fig1b() *Table {
 	return t
 }
 
+// stepCycles advances a bare core over cycles [0, n), one Step each.
+func stepCycles(c interface{ Step(uint64) }, n uint64) {
+	for now := uint64(0); now < n; now++ {
+		c.Step(now)
+	}
+}
+
 // fig1cPoint measures normalized throughput of an SMT OoO core running n
 // copies of a FLANN-X-Y stream.
 func (s *Suite) fig1cPoint(computeUs, stallUs float64, n int, budget uint64) (float64, error) {
@@ -79,7 +86,7 @@ func (s *Suite) fig1cPoint(computeUs, stallUs float64, n int, budget uint64) (fl
 	if err != nil {
 		return 0, err
 	}
-	c.Run(0, budget)
+	stepCycles(c, budget)
 	return c.Stats.IPC(), nil
 }
 
@@ -157,7 +164,7 @@ func (s *Suite) Fig2a() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ooo.Run(0, budget)
+		stepCycles(ooo, budget)
 		oooRow = append(oooRow, f2(ooo.Stats.IPC()))
 
 		// InO SMT point.
@@ -171,7 +178,7 @@ func (s *Suite) Fig2a() (*Table, error) {
 		for i := 0; i < n; i++ {
 			ino.Bind(i, workload.SPECMix(s.opts.Seed+uint64(i)*23), 0, 0)
 		}
-		ino.Run(0, budget)
+		stepCycles(ino, budget)
 		inoRow = append(inoRow, f2(ino.Stats.IPC()))
 	}
 	t.AddRow(oooRow...)

@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +22,10 @@ import (
 	"duplexity/internal/expt"
 	"duplexity/internal/serve"
 )
+
+// promLineRe matches one Prometheus text-format sample line; label
+// values may carry escaped quotes.
+var promLineRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([^}"]|"([^"\\]|\\.)*")*\})? (-?[0-9.eE+]+|\+Inf|NaN)$`)
 
 // keySuite is a shared cheap suite used only for key derivation (no
 // simulation happens through it).
@@ -428,8 +434,9 @@ func TestE2EFleetByteIdenticalToSingleNode(t *testing.T) {
 		})
 		return ts
 	}
-	w1 := newWorkerServer(t.TempDir())
-	w2 := newWorkerServer(t.TempDir())
+	workerDirs := []string{t.TempDir(), t.TempDir()}
+	w1 := newWorkerServer(workerDirs[0])
+	w2 := newWorkerServer(workerDirs[1])
 
 	coord, err := New(Options{Workers: []string{w1.URL, w2.URL}})
 	if err != nil {
@@ -492,10 +499,59 @@ func TestE2EFleetByteIdenticalToSingleNode(t *testing.T) {
 	if sum.SimWallSeconds <= 0 {
 		t.Error("fleet run recorded no worker simulation time")
 	}
-	// Both workers participated (4 cells, rendezvous-spread).
+	// Both workers participated (4 cells, rendezvous-spread) and stayed up.
 	st := coord.Stats()
-	if len(st.Workers) != 2 || st.Workers[0].Completed+st.Workers[1].Completed != int64(len(specs)) {
+	if len(st.Workers) != 2 || st.Workers[0].Completed+st.Workers[1].Completed != int64(len(specs)) ||
+		st.Workers[0].Down || st.Workers[1].Down {
 		t.Errorf("worker completions = %+v", st.Workers)
+	}
+	// No cell was simulated twice or lost: the workers' journals hold one
+	// computed line per cell, plus at most one per hedge fired (a losing
+	// leg that is already computing runs to completion; under the race
+	// detector cells outlive the 2s hedge floor).
+	sims := 0
+	for _, dir := range workerDirs {
+		entries, err := campaign.ReadJournal(filepath.Join(dir, "journal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !e.Cached && e.Status == "" {
+				sims++
+			}
+		}
+	}
+	if sims < len(specs) || sims > len(specs)+int(st.Hedges) {
+		t.Errorf("workers simulated %d cells for %d cells and %d hedges", sims, len(specs), st.Hedges)
+	}
+
+	// The coordinator's one scrape target merges its own per-worker
+	// dispatch counters with every worker's relabelled exposition.
+	cs := httptest.NewServer(coord.Handler())
+	defer cs.Close()
+	resp, err := http.Get(cs.URL + "/v1/fleet/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(scrape), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") && !promLineRe.MatchString(line) {
+			t.Errorf("unparseable fleet metricsz line: %q", line)
+		}
+	}
+	for _, w := range []string{w1.URL, w2.URL} {
+		for _, want := range []string{
+			`duplexity_fleet_worker_completed{worker="` + w + `"} `,
+			`duplexity_serve_admitted{worker="` + w + `"} `,
+		} {
+			if !strings.Contains(string(scrape), "\n"+want) {
+				t.Errorf("fleet metricsz lacks %q", want)
+			}
+		}
 	}
 
 	// A rerun answers from the coordinator's now-warm disk cache.

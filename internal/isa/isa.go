@@ -118,7 +118,7 @@ const NoEvent = ^uint64(0)
 // Eventer is implemented by streams that can report, WITHOUT consuming
 // input or mutating any state, the earliest cycle >= now at which Next
 // may return an instruction. Implementations must be pure: the
-// event-driven fast-forward path calls NextWorkAt on cycles where the
+// discrete-event engine calls NextWorkAt on cycles where the
 // cycle-by-cycle path would not have called Next at all, so any side
 // effect (consuming RNG draws, emitting telemetry, admitting arrivals)
 // would break the bit-identical-results invariant.

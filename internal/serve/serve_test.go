@@ -166,6 +166,42 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 	if st.Campaign.Misses != 2 {
 		t.Errorf("warm replay re-simulated: misses = %d, want still 2", st.Campaign.Misses)
 	}
+
+	// Two-phase cells on the same daemon: moving a tails campaign's load
+	// grid re-simulates no micro-sim. The overlapping load (0.5) answers
+	// from the queueing layer, the new one re-derives from the cached
+	// phase-1 results.
+	tails := func(queueing int, loads ...float64) campaign.Summary {
+		t.Helper()
+		status, _, body := postJSON(t, ts.URL+"/v1/campaigns", expt.CampaignSpec{
+			Kind: expt.CampaignTails, Designs: []string{"Baseline", "Duplexity"},
+			Workloads: []string{"RSC"}, Loads: loads,
+		})
+		if status != http.StatusAccepted {
+			t.Fatalf("tails submission = %d (%s)", status, body)
+		}
+		var acc CampaignAccepted
+		if err := json.Unmarshal(body, &acc); err != nil {
+			t.Fatal(err)
+		}
+		if _, final := readStream(t, ts.URL+"/v1/campaigns/"+acc.ID); final.Completed != 4 || final.Failed != 0 {
+			t.Fatalf("tails job: %+v", final)
+		}
+		return pollStatz(t, ts.URL, "tails cells", func(st Statz) bool {
+			return st.Campaign.QueueingHits+st.Campaign.QueueingMisses == queueing
+		}).Campaign
+	}
+	cold := tails(4, 0.3, 0.5)
+	if cold.MicrosimMisses != 2 || cold.QueueingMisses != 4 {
+		t.Fatalf("cold tails: %d micro-sims, %d queueing misses; want 2 and 4", cold.MicrosimMisses, cold.QueueingMisses)
+	}
+	regrid := tails(8, 0.5, 0.7)
+	if regrid.MicrosimMisses != cold.MicrosimMisses {
+		t.Errorf("load-grid change re-simulated %d micro-sims", regrid.MicrosimMisses-cold.MicrosimMisses)
+	}
+	if got := regrid.QueueingHits - cold.QueueingHits; got != 2 {
+		t.Errorf("overlapping load answered %d cells from the queueing layer, want 2", got)
+	}
 }
 
 // TestE2EDrainCompletesInflight drives the real simulator and verifies

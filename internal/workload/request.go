@@ -193,5 +193,5 @@ func (c *ClosedStream) Next(now uint64) (isa.Instr, bool) { return c.gen.Next(no
 func (c *ClosedStream) HasWork(uint64) bool { return true }
 
 // NextWorkAt implements isa.Eventer: a closed loop always has work, so
-// the fast-forward path never skips on its account.
+// the event engine never skips on its account.
 func (c *ClosedStream) NextWorkAt(now uint64) uint64 { return now }

@@ -6,7 +6,7 @@
 #   3. go build ./...
 #   4. go test -race on the telemetry, core, campaign, expt, serve,
 #      and fleet packages plus the root e2e tests
-#   5. the energyprop and twophase end-to-end smoke scripts
+#   5. go test on cmd/duplexityd: the daemon as a real process
 #   6. a telemetry-overhead guard benchmark
 #
 # The guard compares BenchmarkDyadCycleRate (nil sink: every instrumented
@@ -67,26 +67,12 @@ go test -race -run 'TestE2E' -timeout 15m .
 # convergence checks and percentiles read.
 go test -race -timeout 15m ./internal/idle ./internal/stats ./internal/queueing ./internal/power
 
-echo "== energyprop smoke =="
-# End-to-end: CLI energyprop determinism across worker counts, warm
-# cache replay with zero re-simulation, and the deep-idle-vs-fill
-# qualitative claim. CHECK_SKIP_SMOKE=1 skips it on loaded machines.
-if [[ "${CHECK_SKIP_SMOKE:-0}" == "1" ]]; then
-    echo "skipped (CHECK_SKIP_SMOKE=1)"
-else
-    ./scripts/energyprop_smoke.sh
-fi
-
-echo "== twophase smoke =="
-# End-to-end through duplexityd: a cold tails campaign computes one
-# micro-sim per design × workload, a load-grid change re-simulates
-# zero micro-sims, and overlapping cells are byte-identical across
-# independent caches. Shares the CHECK_SKIP_SMOKE gate.
-if [[ "${CHECK_SKIP_SMOKE:-0}" == "1" ]]; then
-    echo "skipped (CHECK_SKIP_SMOKE=1)"
-else
-    ./scripts/twophase_smoke.sh
-fi
+echo "== go test (duplexityd process) =="
+# The daemon and its client subcommands as real processes: SIGTERM
+# drain, SIGKILL mid-job and resume, a coordinator over two workers.
+# Not raced: the concurrency it reaches runs raced in the serve,
+# jobstore and fleet suites above.
+go test -timeout 10m ./cmd/duplexityd
 
 if [[ "${CHECK_SKIP_BENCH:-0}" == "1" ]]; then
     echo "== telemetry overhead guard skipped (CHECK_SKIP_BENCH=1) =="
