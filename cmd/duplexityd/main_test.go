@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -18,6 +19,7 @@ import (
 
 	"duplexity/internal/campaign"
 	"duplexity/internal/expt"
+	"duplexity/internal/fleet"
 	"duplexity/internal/serve"
 )
 
@@ -222,21 +224,26 @@ func fig5Campaign(t *testing.T, addr, loads string) [][]byte {
 	return cells
 }
 
+// getJSON decodes the body of GET path on the daemon at addr into v.
+func getJSON(t *testing.T, addr, path string, v any) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+}
+
 // pollJob fetches a job's status until stop accepts it or a minute
 // passes, and returns the last status read.
 func pollJob(t *testing.T, addr, id string, stop func(serve.JobStatus) bool) serve.JobStatus {
 	t.Helper()
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
-		resp, err := http.Get("http://" + addr + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var js serve.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&js)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("job %s status: %v", id, err)
-		}
+		getJSON(t, addr, "/v1/jobs/"+id, &js)
 		if stop(js) || time.Now().After(deadline) {
 			return js
 		}
@@ -375,16 +382,21 @@ func TestRestartProcess(t *testing.T) {
 }
 
 // TestCoordinateProcess boots two workers and a coordinator given only
-// their addresses: it adopts their world, answers a campaign through
-// them, and drains cleanly on SIGTERM.
+// their addresses: it adopts their world and answers a campaign through
+// them, each cell simulated once across the fleet. A worker SIGKILLed
+// after that leaves the next campaign to the survivor, and the
+// coordinator drains cleanly on SIGTERM.
 func TestCoordinateProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation; skipped in -short")
 	}
-	w1 := serveDaemon(t, t.TempDir())
-	w2 := serveDaemon(t, t.TempDir())
+	w1Dir, w2Dir := t.TempDir(), t.TempDir()
+	w1 := serveDaemon(t, w1Dir)
+	w2 := serveDaemon(t, w2Dir)
+	// Four engine workers feed the fleet: more cells in flight than one
+	// worker's window (twice its one-wide pool) admits.
 	co := startDaemon(t, "coordinate", "-addr", "127.0.0.1:0", "-fleet", w1.addr+","+w2.addr,
-		"-cachedir", t.TempDir())
+		"-workers", "4", "-cachedir", t.TempDir())
 	if log := co.stderr(); !strings.Contains(log, "fleet registered: 2 workers") ||
 		!strings.Contains(log, fmt.Sprintf("(scale=%s seed=1 ", scale)) {
 		t.Fatalf("coordinator did not register and adopt both workers' world\n%s", log)
@@ -393,7 +405,31 @@ func TestCoordinateProcess(t *testing.T) {
 	if n := len(fig5Campaign(t, co.addr, "0.3,0.6")); n != 4 {
 		t.Fatalf("fleet campaign streamed %d cells, want 4", n)
 	}
+	// The workers' journals hold one computed line per cell: none was
+	// simulated twice (a hedge's losing leg included) and none was lost.
+	var fz fleet.Status
+	getJSON(t, co.addr, "/v1/fleetz", &fz)
+	n1, _ := computedCells(t, w1Dir)
+	n2, _ := computedCells(t, w2Dir)
+	if n1+n2 != 4 {
+		t.Fatalf("workers simulated %d+%d cells for 4 (duplicated or lost work); fleet: %+v", n1, n2, fz)
+	}
+
+	// A dead worker refuses connections. The survivor's window holds two
+	// of the next campaign's four cells, so at least one is dispatched to
+	// the dead worker: the coordinator counts the failure against it and
+	// retries the cell on the survivor, with no error rows.
+	if err := w2.stop(t, syscall.SIGKILL); err == nil {
+		t.Fatal("SIGKILLed worker exited 0")
+	}
+	if n := len(fig5Campaign(t, co.addr, "0.45,0.55")); n != 4 {
+		t.Fatalf("campaign after a worker loss streamed %d cells, want 4", n)
+	}
+	getJSON(t, co.addr, "/v1/fleetz", &fz)
+	i := slices.IndexFunc(fz.Workers, func(w fleet.WorkerStatus) bool { return w.Name == "http://"+w2.addr })
+	if i < 0 || fz.Workers[i].Failed == 0 {
+		t.Fatalf("no dispatch reached the dead worker %s: %+v", w2.addr, fz.Workers)
+	}
 	co.drain(t)
 	w1.drain(t)
-	w2.drain(t)
 }

@@ -434,9 +434,8 @@ func TestE2EFleetByteIdenticalToSingleNode(t *testing.T) {
 		})
 		return ts
 	}
-	workerDirs := []string{t.TempDir(), t.TempDir()}
-	w1 := newWorkerServer(workerDirs[0])
-	w2 := newWorkerServer(workerDirs[1])
+	w1 := newWorkerServer(t.TempDir())
+	w2 := newWorkerServer(t.TempDir())
 
 	coord, err := New(Options{Workers: []string{w1.URL, w2.URL}})
 	if err != nil {
@@ -505,26 +504,6 @@ func TestE2EFleetByteIdenticalToSingleNode(t *testing.T) {
 		st.Workers[0].Down || st.Workers[1].Down {
 		t.Errorf("worker completions = %+v", st.Workers)
 	}
-	// No cell was simulated twice or lost: the workers' journals hold one
-	// computed line per cell, plus at most one per hedge fired (a losing
-	// leg that is already computing runs to completion; under the race
-	// detector cells outlive the 2s hedge floor).
-	sims := 0
-	for _, dir := range workerDirs {
-		entries, err := campaign.ReadJournal(filepath.Join(dir, "journal.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !e.Cached && e.Status == "" {
-				sims++
-			}
-		}
-	}
-	if sims < len(specs) || sims > len(specs)+int(st.Hedges) {
-		t.Errorf("workers simulated %d cells for %d cells and %d hedges", sims, len(specs), st.Hedges)
-	}
-
 	// The coordinator's one scrape target merges its own per-worker
 	// dispatch counters with every worker's relabelled exposition.
 	cs := httptest.NewServer(coord.Handler())

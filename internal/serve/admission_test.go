@@ -451,15 +451,8 @@ func TestSSEStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8},
 		func(cs expt.CellSpec) (expt.ServedResult, error) { return stubResult(cs), nil })
 
-	status, _, body := postJSON(t, ts.URL+"/v1/campaigns",
+	acc := submitCampaign(t, ts.URL,
 		expt.CampaignSpec{Kind: expt.CampaignFig5, Designs: []string{"Baseline"}, Workloads: []string{"RSC"}, Loads: []float64{0.3}})
-	if status != http.StatusAccepted {
-		t.Fatalf("campaign submission = %d (%s), want 202", status, body)
-	}
-	var acc CampaignAccepted
-	if err := json.Unmarshal(body, &acc); err != nil {
-		t.Fatal(err)
-	}
 
 	req, err := http.NewRequest("GET", ts.URL+acc.Stream, nil)
 	if err != nil {

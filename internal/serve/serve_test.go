@@ -15,6 +15,20 @@ import (
 	"duplexity/internal/telemetry"
 )
 
+// submitCampaign POSTs spec and returns the server's 202 acceptance.
+func submitCampaign(t *testing.T, base string, spec expt.CampaignSpec) CampaignAccepted {
+	t.Helper()
+	status, _, body := postJSON(t, base+"/v1/campaigns", spec)
+	if status != http.StatusAccepted {
+		t.Fatalf("campaign submission = %d (%s), want 202", status, body)
+	}
+	var acc CampaignAccepted
+	if err := json.Unmarshal(body, &acc); err != nil {
+		t.Fatal(err)
+	}
+	return acc
+}
+
 // readStream fetches a campaign's NDJSON stream to completion and
 // returns the raw cell lines plus the final status line.
 func readStream(t *testing.T, url string) (cells [][]byte, final JobStatus) {
@@ -74,14 +88,7 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 2; i++ {
-		status, _, body := postJSON(t, ts.URL+"/v1/campaigns", spec)
-		if status != http.StatusAccepted {
-			t.Fatalf("submission %d = %d (%s)", i, status, body)
-		}
-		var acc CampaignAccepted
-		if err := json.Unmarshal(body, &acc); err != nil {
-			t.Fatal(err)
-		}
+		acc := submitCampaign(t, ts.URL, spec)
 		if acc.Cells != 2 {
 			t.Fatalf("expanded to %d cells, want 2", acc.Cells)
 		}
@@ -129,14 +136,7 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 
 	// A repeat submission is now answered from the content-addressed
 	// cache: byte-identical lines again, zero new simulations.
-	status, _, body := postJSON(t, ts.URL+"/v1/campaigns", spec)
-	if status != http.StatusAccepted {
-		t.Fatalf("warm submission = %d (%s)", status, body)
-	}
-	var acc CampaignAccepted
-	if err := json.Unmarshal(body, &acc); err != nil {
-		t.Fatal(err)
-	}
+	acc := submitCampaign(t, ts.URL, spec)
 	lines3, final3 := readStream(t, ts.URL+"/v1/campaigns/"+acc.ID)
 	if final3.Completed != 2 {
 		t.Fatalf("warm job: %+v", final3)
@@ -173,17 +173,10 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 	// phase-1 results.
 	tails := func(queueing int, loads ...float64) campaign.Summary {
 		t.Helper()
-		status, _, body := postJSON(t, ts.URL+"/v1/campaigns", expt.CampaignSpec{
+		acc := submitCampaign(t, ts.URL, expt.CampaignSpec{
 			Kind: expt.CampaignTails, Designs: []string{"Baseline", "Duplexity"},
 			Workloads: []string{"RSC"}, Loads: loads,
 		})
-		if status != http.StatusAccepted {
-			t.Fatalf("tails submission = %d (%s)", status, body)
-		}
-		var acc CampaignAccepted
-		if err := json.Unmarshal(body, &acc); err != nil {
-			t.Fatal(err)
-		}
 		if _, final := readStream(t, ts.URL+"/v1/campaigns/"+acc.ID); final.Completed != 4 || final.Failed != 0 {
 			t.Fatalf("tails job: %+v", final)
 		}
@@ -221,14 +214,7 @@ func TestE2EDrainCompletesInflight(t *testing.T) {
 		Workloads: []string{"RSC"},
 		Loads:     []float64{0.5},
 	}
-	status, _, body := postJSON(t, ts.URL+"/v1/campaigns", spec)
-	if status != http.StatusAccepted {
-		t.Fatalf("submission = %d (%s)", status, body)
-	}
-	var acc CampaignAccepted
-	if err := json.Unmarshal(body, &acc); err != nil {
-		t.Fatal(err)
-	}
+	acc := submitCampaign(t, ts.URL, spec)
 	// Wait for the cell to be admitted so the drain genuinely races a
 	// running simulation rather than an empty queue.
 	pollStatz(t, ts.URL, "cell admitted", func(st Statz) bool { return counter(st, "serve.admitted") == 1 })
