@@ -17,14 +17,12 @@
 //	                   [-tracing] [-trace-depth n] [-job-ttl d]
 //	                   [-tenant-inflight n] [-tenant-jobs n]
 //	                   [-tenant-weights a=2,b=1]
-//	duplexityd submit  [-addr a] [-campaign] [-kind k] [-designs l]
-//	                   [-workloads l] [-loads l] [-governors l]
-//	                   [-design d] [-workload w] [-governor g]
-//	                   [-load f] [-lambda f] [-timeout-ms n]
+//	duplexityd submit  [-addr a] [-kind k] [-design d] [-workload w]
+//	                   [-governor g] [-load f] [-lambda f] [-timeout-ms n]
 //	duplexityd jobs    [-addr a] [-submit] [-kind k] [-designs l]
-//	                   [-workloads l] [-loads l] [-tenant t] [-lane l]
-//	                   [-deadline-ms n] [-ttl-sec n] [-stream] [-id j]
-//	                   [-results]
+//	                   [-workloads l] [-loads l] [-governors l]
+//	                   [-tenant t] [-lane l] [-deadline-ms n] [-ttl-sec n]
+//	                   [-stream] [-id j] [-results]
 //	duplexityd join    -coordinator url -worker url [-once]
 //	duplexityd drain   [-addr a]
 //	duplexityd status  [-addr a]
@@ -34,8 +32,8 @@
 //	                   [-tenant a,b] [-lane l]
 //
 // serve exposes the campaign engine over HTTP: POST /v1/cells for
-// synchronous single cells, POST /v1/campaigns + GET /v1/campaigns/{id}
-// for streamed batches, GET /v1/healthz and /v1/statz for operations.
+// synchronous single cells, POST /v1/jobs + GET /v1/jobs/{id}/results
+// for streamed campaigns, GET /v1/healthz and /v1/statz for operations.
 // The daemon serves one fixed (scale, seed) world; requests name only
 // the cell axes (kind, design, workload, load). SIGTERM or SIGINT
 // drains gracefully: new work is refused, admitted cells finish, and
@@ -51,18 +49,19 @@
 // workers' world; set them to pin (and verify) it. GET /v1/fleetz
 // reports per-worker dispatch state.
 //
-// submit posts one cell (default) or a campaign (-campaign) to a
-// running daemon and writes results to stdout — campaign results stream
-// as NDJSON in submission order. status pretty-prints /v1/statz, writes
-// a one-line job summary to stderr, and exits non-zero when any job
-// finished with failed cells.
+// submit posts one cell to a running daemon and writes its result to
+// stdout. status pretty-prints /v1/statz, writes a one-line job summary
+// to stderr, and exits non-zero when any job finished with failed
+// cells.
 //
-// jobs is the multi-tenant control-plane client: -submit posts a
-// durable job (tenant, lane, deadline, TTL) and optionally streams it;
-// -id fetches one job's status (or, with -results, its result stream);
-// with neither it lists jobs. On daemons with a cache directory jobs
-// are journaled and survive restarts: an interrupted daemon resumes
-// every incomplete job exactly where it stopped.
+// jobs is the campaign client: -submit posts a campaign as a job
+// (tenant, lane, deadline, TTL) and, with -stream, writes its results
+// to stdout as NDJSON in submission order, one line per cell carrying
+// the cell's raw cached result, then a status line; -id fetches one
+// job's status (or, with -results, its result stream); with neither it
+// lists jobs. On daemons with a cache directory jobs are journaled and
+// survive restarts: an interrupted daemon resumes every incomplete job
+// exactly where it stopped.
 //
 // join registers a running worker daemon with a coordinator's dynamic
 // fleet (POST /v1/fleet/join) and keeps heartbeating until signalled,
@@ -160,8 +159,8 @@ func usage() {
 commands:
   serve       run the simulation daemon
   coordinate  run the daemon as a fleet coordinator over -fleet workers
-  submit      submit a cell or campaign to a running daemon
-  jobs        submit, list, or stream multi-tenant durable jobs
+  submit      submit one cell to a running daemon
+  jobs        submit, list, or stream campaign jobs
   join        register a worker with a coordinator's fleet and heartbeat
   drain       ask a running daemon to drain (finish in-flight, checkpoint)
   status      print a running daemon's /v1/statz (non-zero exit on failed jobs)
@@ -531,80 +530,32 @@ func newCoordinator(fleetList string, scale float64, seed uint64, hedgeAfter, he
 func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8077", "daemon address")
-	campaign := fs.Bool("campaign", false, "submit a campaign instead of one cell")
-	kind := fs.String("kind", "matrix", "cell or campaign kind (matrix | slowdown | energyprop | tail | fig5 | slowdowns | tails)")
+	kind := fs.String("kind", "matrix", "cell kind (matrix | slowdown | energyprop | tail)")
 	design := fs.String("design", "Baseline", "cell design")
 	workload := fs.String("workload", "RSC", "cell workload")
 	load := fs.Float64("load", 0.5, "cell offered load (0 for slowdown cells)")
 	governor := fs.String("governor", "", "cell idle governor (energyprop cells only)")
 	lambda := fs.Float64("lambda", 0, "cell arrival rate in QPS (tail cells only; 0 = the workload's nominal rate at -load)")
 	timeoutMs := fs.Int64("timeout-ms", 0, "per-request deadline in ms (0 = server default)")
-	designs := fs.String("designs", "", "campaign designs, comma-separated (empty = all)")
-	workloads := fs.String("workloads", "", "campaign workloads, comma-separated (empty = all)")
-	loads := fs.String("loads", "", "campaign loads, comma-separated (empty = default grid)")
-	governors := fs.String("governors", "", "campaign idle governors, comma-separated (energyprop; empty = default set)")
 	fs.Parse(args)
-	base := "http://" + *addr
-
-	if !*campaign {
-		body, err := postExpectOK(base+"/v1/cells", serve.CellRequest{
-			CellSpec:  expt.CellSpec{Kind: *kind, Design: *design, Workload: *workload, Load: *load, Governor: *governor, Lambda: *lambda},
-			TimeoutMs: *timeoutMs,
-		}, http.StatusOK)
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(body)
-		return nil
-	}
-
-	spec := expt.CampaignSpec{Kind: *kind}
-	if *designs != "" {
-		spec.Designs = strings.Split(*designs, ",")
-	}
-	if *workloads != "" {
-		spec.Workloads = strings.Split(*workloads, ",")
-	}
-	if *loads != "" {
-		for _, f := range strings.Split(*loads, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return fmt.Errorf("parsing -loads: %w", err)
-			}
-			spec.Loads = append(spec.Loads, v)
-		}
-	}
-	if *governors != "" {
-		spec.Governors = strings.Split(*governors, ",")
-	}
-	body, err := postExpectOK(base+"/v1/campaigns", spec, http.StatusAccepted)
+	body, err := postExpectOK("http://"+*addr+"/v1/cells", serve.CellRequest{
+		CellSpec:  expt.CellSpec{Kind: *kind, Design: *design, Workload: *workload, Load: *load, Governor: *governor, Lambda: *lambda},
+		TimeoutMs: *timeoutMs,
+	}, http.StatusOK)
 	if err != nil {
 		return err
 	}
-	var acc serve.CampaignAccepted
-	if err := json.Unmarshal(body, &acc); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "duplexityd: campaign %s accepted (%d cells); streaming...\n", acc.ID, acc.Cells)
-	resp, err := http.Get(base + acc.Stream)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("streaming %s: HTTP %d", acc.ID, resp.StatusCode)
-	}
-	_, err = io.Copy(os.Stdout, resp.Body)
-	return err
+	os.Stdout.Write(body)
+	return nil
 }
 
-// cmdJobs is the multi-tenant job client: submit (-submit), inspect
-// (-id [-results]), or list (default) jobs on a running daemon.
+// cmdJobs is the campaign job client: submit (-submit [-stream]),
+// inspect (-id [-results]), or list (default) jobs on a running daemon.
 func cmdJobs(args []string) error {
 	fs := flag.NewFlagSet("jobs", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8077", "daemon address")
 	submit := fs.Bool("submit", false, "submit a job instead of listing")
-	kind := fs.String("kind", "fig5", "campaign kind (fig5 | slowdowns | energyprop)")
+	kind := fs.String("kind", "fig5", "campaign kind (fig5 | matrix | slowdowns | energyprop | tails)")
 	designs := fs.String("designs", "", "designs, comma-separated (empty = all)")
 	workloads := fs.String("workloads", "", "workloads, comma-separated (empty = all)")
 	loads := fs.String("loads", "", "loads, comma-separated (empty = default grid)")

@@ -20,6 +20,7 @@ import (
 	"duplexity/internal/campaign"
 	"duplexity/internal/expt"
 	"duplexity/internal/fleet"
+	"duplexity/internal/jobstore"
 	"duplexity/internal/serve"
 )
 
@@ -202,17 +203,17 @@ func computedCells(t *testing.T, cacheDir string) (computed int, entries []campa
 }
 
 // fig5Campaign submits a fig5 campaign over Baseline and Duplexity on
-// RSC at loads and returns its cell lines, each checked to carry a
-// result, once the job has ended done.
+// RSC at loads as a streamed job and returns its cell lines, each
+// checked to carry a result, once the job has ended done.
 func fig5Campaign(t *testing.T, addr, loads string) [][]byte {
 	t.Helper()
-	stream := lines(client(t, "submit", "-addr", addr, "-campaign", "-kind", "fig5",
+	stream := lines(client(t, "jobs", "-addr", addr, "-submit", "-stream", "-kind", "fig5",
 		"-designs", "Baseline,Duplexity", "-workloads", "RSC", "-loads", loads))
 	cells := stream[:len(stream)-1]
 	for _, l := range cells {
-		var cl serve.CellLine
-		unmarshal(t, l, &cl)
-		if cl.Error != "" || cl.Result == nil {
+		var rl jobstore.RawLine
+		unmarshal(t, l, &rl)
+		if rl.Error != "" || len(rl.Result) == 0 {
 			t.Errorf("campaign line carries no result: %s", l)
 		}
 	}

@@ -51,23 +51,22 @@ type Options struct {
 // Remote executes a cell somewhere else and returns the same Entry a
 // local computation would have cached: the full key, the producing
 // worker's simulation wall time, and the raw result JSON. The bool
-// reports whether the remote answered from its own cache. Implementations
-// must be safe for concurrent use; internal/fleet provides the
-// rendezvous-sharded, hedged implementation. tr, which may be nil
-// (untraced), receives the dispatch's remote spans so the caller's
-// end-to-end timeline covers the network hop (DESIGN.md §11).
+// reports whether the remote answered from its own cache.
+// Implementations must be safe for concurrent use; internal/fleet
+// provides the rendezvous-sharded, hedged implementation.
+//
+// shardDigest, when non-empty, is what the remote places the cell by
+// instead of the cell's own digest: a two-phase cell passes its first
+// phase-1 micro-sim digest, so every load fanned out from one micro-sim
+// lands on the worker whose phase-1 memo already holds it. tr, which
+// may be nil (untraced), receives the dispatch's remote spans so the
+// caller's end-to-end timeline covers the network hop (DESIGN.md §11).
+// A non-zero deadline marks a deadline-lane cell, which the remote may
+// place and hedge more aggressively as the deadline nears
+// (Hurry-up-style scheduling). Neither shardDigest nor deadline changes
+// what is computed or cached — only where and how eagerly.
 type Remote interface {
-	Exec(k Key, tr *telemetry.CellTrace) (Entry, bool, error)
-}
-
-// DeadlineRemote is an optional Remote refinement for deadline-lane
-// cells: ExecDeadline behaves like Exec but may place and hedge more
-// aggressively as the deadline nears (Hurry-up-style scheduling). A
-// Remote that does not implement it is driven through Exec regardless
-// of deadline.
-type DeadlineRemote interface {
-	Remote
-	ExecDeadline(k Key, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error)
+	Exec(k Key, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error)
 }
 
 // Engine executes campaign cells on a bounded worker pool with optional
@@ -257,7 +256,7 @@ func runOne[R any](e *Engine, t Task[R]) (R, bool, error) {
 				return raw, nil
 			}
 		}
-		ent, cached, err = e.DoRaw(t.Key, run)
+		ent, cached, err = e.DoRaw(t.Key, run, nil, time.Time{})
 	}
 	if err != nil {
 		return zero, false, err
@@ -278,47 +277,24 @@ func runOne[R any](e *Engine, t Task[R]) (R, bool, error) {
 // answered the cell. run may be nil when the caller cannot compute
 // locally; such a cell fails if it is neither cached nor remotely
 // executable.
-func (e *Engine) DoRaw(k Key, run func() (json.RawMessage, error)) (Entry, bool, error) {
-	return e.DoRawTraced(k, run, nil)
-}
-
-// DoRawTraced is DoRaw with per-stage tracing: the cache probe, remote
-// dispatch, local compute, and cache-write serialization each record a
-// span on tr (nil tr: untraced, zero extra work). The stage breakdown
-// is also journaled with a computed or remote completion. Tracing never
-// changes what is computed or cached — entries and results are
-// byte-identical with tr nil or not.
-func (e *Engine) DoRawTraced(k Key, run func() (json.RawMessage, error), tr *telemetry.CellTrace) (Entry, bool, error) {
-	return e.DoRawDeadline(k, run, tr, time.Time{})
-}
-
-// DoRawDeadline is DoRawTraced for deadline-lane cells: a non-zero
-// deadline is forwarded to the remote when it implements DeadlineRemote,
-// so a fleet coordinator can prefer the hot-cache worker and hedge
-// earlier as the budget shrinks. The deadline never changes what is
-// computed or cached — only where and how eagerly.
-func (e *Engine) DoRawDeadline(k Key, run func() (json.RawMessage, error), tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
+//
+// The cache probe, remote dispatch, local compute, and cache-write
+// serialization each record a span on tr (nil tr: untraced, zero extra
+// work), and the stage breakdown is journaled with a computed or remote
+// completion. A non-zero deadline marks a deadline-lane cell and is
+// forwarded to the remote (see Remote). Neither tracing nor the
+// deadline changes what is computed or cached.
+func (e *Engine) DoRaw(k Key, run func() (json.RawMessage, error), tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
 	digest := k.Digest()
 	if ent, ok := e.hitEntry(digest, false, tr); ok {
 		return ent, true, nil
 	}
 
 	if e.remote != nil {
-		exec := e.remote.Exec
-		if dr, ok := e.remote.(DeadlineRemote); ok && !deadline.IsZero() {
-			exec = func(k Key, tr *telemetry.CellTrace) (Entry, bool, error) {
-				return dr.ExecDeadline(k, tr, deadline)
-			}
-		}
-		ent, remoteCached, err := exec(k, tr)
-		if err == nil {
-			if e.cache != nil {
-				put := time.Now()
-				if perr := e.cache.Put(digest, ent); perr != nil {
-					e.stats.recordError()
-					return Entry{}, false, perr
-				}
-				tr.Stage(telemetry.StageSerialize, put)
+		ent, remoteCached, resolved, err := e.execRemote(k, digest, "", tr, deadline)
+		if resolved {
+			if err != nil {
+				return Entry{}, false, err
 			}
 			// Cached reports the worker's cache; WallSeconds is the
 			// worker's simulation time, so SimWallSeconds still sums
@@ -348,16 +324,40 @@ func (e *Engine) DoRawDeadline(k Key, run func() (json.RawMessage, error), tr *t
 		return Entry{}, false, err
 	}
 	ent := Entry{Key: k, WallSeconds: wall, Result: raw}
-	if e.cache != nil {
-		put := time.Now()
-		if err := e.cache.Put(digest, ent); err != nil {
-			e.stats.recordError()
-			return Entry{}, false, err
-		}
-		tr.Stage(telemetry.StageSerialize, put)
+	if err := e.store(digest, ent, tr); err != nil {
+		return Entry{}, false, err
 	}
 	e.finish(k, digest, false, false, wall, tr)
 	return ent, false, nil
+}
+
+// execRemote dispatches a cell to the engine's remote and writes the
+// entry it returns into the local cache verbatim, so a remote-executed
+// cell leaves the same cache bytes a local run would. resolved is false
+// when the remote itself failed (err is its error, and the caller may
+// compute locally); with resolved true, a non-nil err is a failed cache
+// write.
+func (e *Engine) execRemote(k Key, digest, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (ent Entry, cached, resolved bool, err error) {
+	ent, cached, err = e.remote.Exec(k, shardDigest, tr, deadline)
+	if err != nil {
+		return Entry{}, false, false, err
+	}
+	return ent, cached, true, e.store(digest, ent, tr)
+}
+
+// store writes a resolved cell's entry to the cache, when there is one,
+// and records the write as a serialize span on tr.
+func (e *Engine) store(digest string, ent Entry, tr *telemetry.CellTrace) error {
+	if e.cache == nil {
+		return nil
+	}
+	put := time.Now()
+	if err := e.cache.Put(digest, ent); err != nil {
+		e.stats.recordError()
+		return err
+	}
+	tr.Stage(telemetry.StageSerialize, put)
+	return nil
 }
 
 // Hit answers a cell from the local cache on the caller's goroutine: it

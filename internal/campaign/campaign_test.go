@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"duplexity/internal/telemetry"
 )
@@ -388,7 +389,7 @@ type fakeRemote struct {
 	calls   atomic.Int64
 }
 
-func (f *fakeRemote) Exec(k Key, tr *telemetry.CellTrace) (Entry, bool, error) {
+func (f *fakeRemote) Exec(k Key, _ string, _ *telemetry.CellTrace, _ time.Time) (Entry, bool, error) {
 	f.calls.Add(1)
 	if f.err != nil {
 		return Entry{}, false, f.err
@@ -506,7 +507,7 @@ func TestRemoteFailureWithoutRunBodyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.DoRaw(baseKey(9), nil); err == nil {
+	if _, _, err := e.DoRaw(baseKey(9), nil, nil, time.Time{}); err == nil {
 		t.Fatal("uncomputable cell with dead remote should error")
 	}
 }

@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+	"time"
 
 	"duplexity/internal/telemetry"
 )
 
 // TestDoRawTracedSpansAndJournal checks the engine's side of the trace
-// contract: a cold cell records cache(miss)+compute+serialize spans, a
+// contract for DoRaw with a trace: a cold cell records cache(miss)+compute+serialize spans, a
 // warm repeat records cache(hit) only, the journal line carries the
 // stage breakdown, and the cached bytes are identical traced or not.
 func TestDoRawTracedSpansAndJournal(t *testing.T) {
@@ -24,7 +25,7 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 	run := func() (json.RawMessage, error) { return raw, nil }
 
 	tr := telemetry.NewCellTrace(telemetry.TraceContext{}, k.Digest())
-	ent, cached, err := e.DoRawTraced(k, run, tr)
+	ent, cached, err := e.DoRaw(k, run, tr, time.Time{})
 	if err != nil || cached {
 		t.Fatalf("cold cell: cached=%v err=%v", cached, err)
 	}
@@ -49,7 +50,7 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 
 	// Warm repeat: cache hit, no compute span, separate trace.
 	tr2 := telemetry.NewCellTrace(telemetry.TraceContext{}, k.Digest())
-	ent2, cached, err := e.DoRawTraced(k, run, tr2)
+	ent2, cached, err := e.DoRaw(k, run, tr2, time.Time{})
 	if err != nil || !cached {
 		t.Fatalf("warm cell: cached=%v err=%v", cached, err)
 	}
@@ -96,7 +97,7 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e2.DoRaw(k, run); err != nil {
+	if _, _, err := e2.DoRaw(k, run, nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	read := func(dir string) []byte {

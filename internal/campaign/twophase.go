@@ -53,18 +53,6 @@ type TwoPhase struct {
 	Queue func(micro []json.RawMessage) (json.RawMessage, error)
 }
 
-// ShardedRemote is an optional Remote refinement for two-phase cells:
-// ExecSharded behaves like Exec/ExecDeadline but ranks workers by
-// shardDigest — the cell's first phase-1 digest — instead of the cell's
-// own digest, so every load fanned out from one micro-sim lands on the
-// worker whose disk cache already holds (or is computing) that
-// micro-sim. Identity, verification, and L1 coalescing still use the
-// cell's own digest.
-type ShardedRemote interface {
-	Remote
-	ExecSharded(k Key, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error)
-}
-
 // microFlight coalesces concurrent resolutions of one phase-1 digest:
 // N cells fanning loads out from the same micro-sim wait on one
 // measurement instead of racing N identical simulations.
@@ -75,8 +63,8 @@ type microFlight struct {
 }
 
 // DoRawTwoPhase resolves a two-phase cell: phase-2 (whole-cell) cache
-// probe, then remote dispatch (sharded on the first phase-1 digest when
-// the remote supports it), then local computation — each phase-1
+// probe, then remote dispatch (sharded on the first phase-1 digest),
+// then local computation — each phase-1
 // dependency resolved through its own cache layer (in-memory memo, disk
 // cache, singleflight, then simulation) before Queue combines them. The
 // returned Entry is byte-identical to what DoRaw would have produced
@@ -92,26 +80,14 @@ func (e *Engine) DoRawTwoPhase(k Key, tp *TwoPhase, tr *telemetry.CellTrace, dea
 	}
 
 	if e.remote != nil {
-		exec := e.remote.Exec
-		if sr, ok := e.remote.(ShardedRemote); ok && len(tp.Micro) > 0 {
-			shard := tp.Micro[0].Key.Digest()
-			exec = func(k Key, tr *telemetry.CellTrace) (Entry, bool, error) {
-				return sr.ExecSharded(k, shard, tr, deadline)
-			}
-		} else if dr, ok := e.remote.(DeadlineRemote); ok && !deadline.IsZero() {
-			exec = func(k Key, tr *telemetry.CellTrace) (Entry, bool, error) {
-				return dr.ExecDeadline(k, tr, deadline)
-			}
+		shard := ""
+		if len(tp.Micro) > 0 {
+			shard = tp.Micro[0].Key.Digest()
 		}
-		ent, remoteCached, err := exec(k, tr)
-		if err == nil {
-			if e.cache != nil {
-				put := time.Now()
-				if perr := e.cache.Put(digest, ent); perr != nil {
-					e.stats.recordError()
-					return Entry{}, false, perr
-				}
-				tr.Stage(telemetry.StageSerialize, put)
+		ent, remoteCached, resolved, err := e.execRemote(k, digest, shard, tr, deadline)
+		if resolved {
+			if err != nil {
+				return Entry{}, false, err
 			}
 			e.stats.recordQueueing(remoteCached)
 			e.finishLayer(k, digest, remoteCached, true, ent.WallSeconds, tr, tp)
@@ -140,13 +116,8 @@ func (e *Engine) DoRawTwoPhase(k Key, tp *TwoPhase, tr *telemetry.CellTrace, dea
 		return Entry{}, false, err
 	}
 	ent := Entry{Key: k, WallSeconds: wall, Result: raw}
-	if e.cache != nil {
-		put := time.Now()
-		if err := e.cache.Put(digest, ent); err != nil {
-			e.stats.recordError()
-			return Entry{}, false, err
-		}
-		tr.Stage(telemetry.StageSerialize, put)
+	if err := e.store(digest, ent, tr); err != nil {
+		return Entry{}, false, err
 	}
 	e.stats.recordQueueing(false)
 	e.finishLayer(k, digest, false, false, wall, tr, tp)

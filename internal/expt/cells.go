@@ -334,11 +334,12 @@ func (s *Suite) ServedKey(cs CellSpec) (campaign.Key, error) {
 
 // ServeHit answers a resolved cell from the local cache on the caller's
 // goroutine, through the engine's one cache probe (campaign.Engine.Hit):
-// one read of the entry file and, for the client-facing form, one
-// decode straight into the typed payload. raw selects the
-// cache-entry-level form instead (Raw set, for /v1/exec and job
-// streams), which decodes the envelope and then the result. The bool
-// is false on a miss, an undecodable entry, or a suite without a cache;
+// one read of the entry file and one decode. The client-facing form
+// decodes straight into the typed payload. raw selects the
+// cache-entry-level form instead (for /v1/exec and job streams): only
+// the envelope is decoded, into Raw, and the typed payload stays
+// empty, since those callers ship the raw result bytes. The bool is
+// false on a miss, an undecodable entry, or a suite without a cache;
 // nothing is counted then, and the caller resolves the cell through
 // RunResolved. Safe for concurrent use.
 func (s *Suite) ServeHit(r *Resolved, tr *telemetry.CellTrace, raw bool) (ServedResult, bool) {
@@ -354,7 +355,7 @@ func (s *Suite) ServeHit(r *Resolved, tr *telemetry.CellTrace, raw bool) (Served
 				return err
 			}
 			out.Raw = &RawCellResult{Digest: r.Digest, Cached: true, WallSeconds: ent.WallSeconds, Result: ent.Result}
-			return out.decodePayload(ent.Result, false)
+			return nil
 		}
 	}
 	if !s.eng.Hit(r.Digest, r.twoPhase(), tr, decode) {
@@ -366,9 +367,11 @@ func (s *Suite) ServeHit(r *Resolved, tr *telemetry.CellTrace, raw bool) (Served
 // RunResolved resolves a cell through the campaign engine — local cache
 // probe, remote dispatch (when the suite has a fleet), simulation on a
 // miss, journaling — and decodes it into the API-facing result shape,
-// with Raw set. A non-zero deadline reaches the engine's remote for
-// Hurry-up-style placement, never the simulation itself, so results
-// stay byte-identical with or without one. This is the serve layer's
+// with Raw set too: the serve layer shares one flight between a
+// /v1/cells caller, which reads the typed payload, and raw callers. A
+// non-zero deadline reaches the engine's remote for Hurry-up-style
+// placement, never the simulation itself, so results stay
+// byte-identical with or without one. This is the serve layer's
 // run hook; it is safe for concurrent use (it touches no Suite
 // memoization), which is what lets the serve layer fan cells across
 // its pool with one shared Suite.
@@ -398,7 +401,7 @@ func (s *Suite) runResolvedRaw(r *Resolved, tr *telemetry.CellTrace, deadline ti
 	var err error
 	switch cs.Kind {
 	case KindMatrix:
-		ent, cached, err = s.eng.DoRawDeadline(r.Key, func() (json.RawMessage, error) {
+		ent, cached, err = s.eng.DoRaw(r.Key, func() (json.RawMessage, error) {
 			c, err := s.runCell(design, spec, cs.Load)
 			if err != nil {
 				return nil, err
@@ -406,7 +409,7 @@ func (s *Suite) runResolvedRaw(r *Resolved, tr *telemetry.CellTrace, deadline ti
 			return json.Marshal(c)
 		}, tr, deadline)
 	case KindSlowdown:
-		ent, cached, err = s.eng.DoRawDeadline(r.Key, func() (json.RawMessage, error) {
+		ent, cached, err = s.eng.DoRaw(r.Key, func() (json.RawMessage, error) {
 			v, err := s.measureSlowdown(design, spec)
 			if err != nil {
 				return nil, err

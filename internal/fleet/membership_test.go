@@ -158,7 +158,7 @@ func TestMembershipRebalanceInFlightNoFailures(t *testing.T) {
 	if created, err := c.Join(f1.srv.URL, 2, f1.world); err != nil || !created {
 		t.Fatalf("join f1: created=%v err=%v", created, err)
 	}
-	if _, _, err := c.Exec(keyFor(t, 0.11), nil); err != nil {
+	if _, _, err := c.Exec(keyFor(t, 0.11), "", nil, time.Time{}); err != nil {
 		t.Fatalf("cell through a joined-only fleet: %v", err)
 	}
 
@@ -176,7 +176,7 @@ func TestMembershipRebalanceInFlightNoFailures(t *testing.T) {
 		wg.Add(1)
 		go func(i int, l float64) {
 			defer wg.Done()
-			_, _, errs[i] = c.Exec(keyFor(t, l), nil)
+			_, _, errs[i] = c.Exec(keyFor(t, l), "", nil, time.Time{})
 		}(i, l)
 	}
 	waitInflight := func(f *fakeWorker, n int) {
@@ -213,7 +213,7 @@ func TestMembershipRebalanceInFlightNoFailures(t *testing.T) {
 
 	// Post-shrink traffic routes only to the surviving member.
 	before := f1.execCount()
-	if _, _, err := c.Exec(keyFor(t, 0.71), nil); err != nil {
+	if _, _, err := c.Exec(keyFor(t, 0.71), "", nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f1.execCount(); got != before {

@@ -54,7 +54,7 @@ func TestHedgedTraceExactlyOneWinner(t *testing.T) {
 	})
 
 	tr := telemetry.NewCellTrace(telemetry.TraceContext{}, k.Digest())
-	if _, _, err := c.Exec(k, tr); err != nil {
+	if _, _, err := c.Exec(k, "", tr, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,17 +7,25 @@
 // The package sits between the HTTP surface (internal/serve) and the
 // admission queue: serve translates requests into JobSpecs and hands
 // the Manager an ExecFunc that pushes one cell through its normal
-// cache probe → admission → coalesce → pool path. The Manager decides *which* cell
-// goes next (fair share across tenants, interactive lane before
-// batch), the admission queue still decides *whether* the daemon can
-// take it right now.
+// cache probe → admission → coalesce → pool path and returns the
+// cell's raw result bytes. The Manager decides *which* cell goes next
+// (fair share across tenants, interactive lane before batch), the
+// admission queue still decides *whether* the daemon can take it
+// right now.
 //
-// Durability deliberately reuses the campaign engine's persistence:
-// the job record and its per-cell cursor capture only *which* cells of
-// *which* job finished; the bytes of each result live solely in the
-// content-addressed cache. A restarted daemon rematerializes finished
-// cells from the cache (byte-identical, no re-simulation) and
-// re-dispatches only the cells the crash interrupted.
+// Every job streams one line shape, RawLine: a cell's raw cache bytes,
+// with no cached flag, so a warm, resumed or uninterrupted run of the
+// same job streams byte-identical lines.
+//
+// Durability is a property of the Manager, not of a job: with a store
+// directory every job is persisted, and it deliberately reuses the
+// campaign engine's persistence. The job record and its per-cell
+// cursor capture only *which* cells of *which* job finished; the bytes
+// of each result live solely in the content-addressed cache. A
+// restarted daemon rematerializes finished cells from the cache
+// (byte-identical, no re-simulation) and re-dispatches only the cells
+// the crash interrupted. Without a store nothing survives a restart,
+// and a stopped Manager counts its pending cells cancelled.
 package jobstore
 
 import (
@@ -58,8 +66,7 @@ func ParseLane(s string) (Lane, error) {
 	return "", fmt.Errorf("unknown lane %q (want %q or %q)", s, LaneInteractive, LaneBatch)
 }
 
-// JobSpec is a submission: what to run, for whom, how urgently, and
-// whether it must survive a daemon restart.
+// JobSpec is a submission: what to run, for whom, and how urgently.
 type JobSpec struct {
 	Tenant string
 	Lane   Lane
@@ -73,10 +80,6 @@ type JobSpec struct {
 	// after completion, an unfinished one is expired TTL after
 	// submission. Zero means the manager default.
 	TTL time.Duration
-	// Durable jobs are journaled to disk and resumed after a restart;
-	// ephemeral jobs (the legacy /v1/campaigns path) die with the
-	// process.
-	Durable bool
 }
 
 // Job states. A job is "running" from submission until every cell is
@@ -89,9 +92,9 @@ const (
 	StateExpired = "expired"
 )
 
-// JobStatus is the API-facing summary of one job. Field names and
-// omission rules are shared with the legacy campaign status payload so
-// existing stream consumers keep working.
+// JobStatus is the API-facing summary of one job, and the final line
+// of its result stream. Durable reports whether the manager persists
+// jobs (it has a store).
 type JobStatus struct {
 	ID        string `json:"id"`
 	Kind      string `json:"kind"`
@@ -110,20 +113,11 @@ type JobStatus struct {
 	DeadlineMet    bool   `json:"deadline_met,omitempty"`
 }
 
-// CellLine is one ephemeral-job result row: the streamed NDJSON shape
-// the /v1/campaigns API has always used, with the decoded result (and
-// its cached flag) inline.
-type CellLine struct {
-	Index  int                `json:"index"`
-	Cell   expt.CellSpec      `json:"cell"`
-	Result *expt.ServedResult `json:"result,omitempty"`
-	Error  string             `json:"error,omitempty"`
-}
-
-// RawLine is one durable-job result row. Result carries the cache
-// entry's raw result bytes — no cached flag, no wall time — so the
-// stream of a job resumed after a crash (cells rematerialized from the
-// cache) is byte-identical to the stream of an uninterrupted run.
+// RawLine is one job result row. Result carries the cache entry's raw
+// result bytes — no cached flag, no wall time — so the stream of a job
+// answered from a warm cache, or resumed after a crash (cells
+// rematerialized from the cache), is byte-identical to the stream of a
+// cold, uninterrupted run.
 type RawLine struct {
 	Index  int             `json:"index"`
 	Cell   expt.CellSpec   `json:"cell"`
@@ -161,9 +155,9 @@ func (e *QuotaError) Error() string {
 var ErrClosed = errors.New("jobstore: manager stopped")
 
 // cancelledError marks an exec outcome as a drain/shutdown
-// cancellation rather than a real failure, so the manager leaves the
-// cell pending (durable jobs resume it) instead of recording a
-// failure.
+// cancellation rather than a real failure, so the manager counts the
+// cell cancelled (or, with a store, leaves it pending for resume)
+// instead of recording a failure.
 type cancelledError struct{ err error }
 
 func (e *cancelledError) Error() string { return e.err.Error() }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,21 +12,23 @@ import (
 	"duplexity/internal/telemetry"
 )
 
-// ExecFunc runs one dispatched cell to completion. The serve layer
-// implements it by pushing the cell through its normal admission →
-// coalesce → pool path, wrapping drain/shutdown errors with
-// MarkCancelled so the manager leaves the cell resumable.
-type ExecFunc func(d Dispatched) (expt.ServedResult, error)
+// ExecFunc runs one dispatched cell to completion and returns the raw
+// result bytes its cache entry holds — what the cell's stream line
+// carries. The serve layer implements it by pushing the cell through
+// its normal admission → coalesce → pool path, wrapping drain/shutdown
+// errors with MarkCancelled so the manager leaves the cell resumable.
+type ExecFunc func(d Dispatched) (json.RawMessage, error)
 
 // LookupFunc probes the campaign cache for a cell's raw result bytes
-// without executing anything — how resumed durable jobs rematerialize
-// cells their cursor says already finished.
+// without executing anything — how resumed jobs rematerialize cells
+// their cursor says already finished.
 type LookupFunc func(cell expt.CellSpec) (json.RawMessage, bool)
 
 // Config configures a Manager.
 type Config struct {
-	// Dir is the durable store root; empty disables durability
-	// (ephemeral jobs still work, nothing survives a restart).
+	// Dir is the durable store root; empty disables durability (jobs
+	// still run, nothing survives a restart, and a stopped manager
+	// counts its pending cells cancelled).
 	Dir string
 	// Defaults is the quota applied to tenants without an explicit
 	// weight; Weights overrides fair-share weight per tenant.
@@ -47,14 +48,15 @@ type Config struct {
 
 // Job is one submitted job's runtime state: the result lines streamed
 // to clients, completion counters, and the notification channel stream
-// readers block on. All fields behind mu.
+// readers block on. All fields behind mu, except m (the owning
+// manager, fixed at creation).
 type Job struct {
+	m        *Manager
 	id       string
 	tenant   string
 	lane     Lane
 	kind     string
 	cells    []expt.CellSpec
-	durable  bool
 	deadline time.Time
 	ttl      time.Duration
 	created  time.Time
@@ -90,7 +92,7 @@ func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID: j.id, Kind: j.kind, State: j.state, Cells: len(j.cells),
 		Completed: j.completed, Failed: j.failed, Cancelled: j.cancelled,
-		Tenant: j.tenant, Lane: j.lane, Durable: j.durable, Resumed: j.resumed,
+		Tenant: j.tenant, Lane: j.lane, Durable: j.m.store != nil, Resumed: j.resumed,
 		DeadlineMet: j.dlMet,
 	}
 	if st.State == "" {
@@ -129,26 +131,30 @@ func (j *Job) wakeLocked() {
 	j.notify = make(chan struct{})
 }
 
-// encodeLine builds the stream line for one resolved cell. Durable
-// jobs use RawLine (raw cache bytes, no cached flag) so resumed and
-// uninterrupted runs stream byte-identical rows; ephemeral jobs keep
-// the legacy CellLine shape with the decoded result inline.
-func (j *Job) encodeLine(index int, res *expt.ServedResult, errMsg string) json.RawMessage {
-	if j.durable {
-		l := RawLine{Index: index, Cell: j.cells[index], Error: errMsg}
-		if res != nil {
-			if res.Raw != nil {
-				l.Result = res.Raw.Result
-			} else if raw, err := json.Marshal(res); err == nil {
-				l.Result = raw // exec stubs without a raw envelope (tests)
-			}
-		}
-		raw, _ := json.Marshal(l)
-		return raw
-	}
-	l := CellLine{Index: index, Cell: j.cells[index], Result: res, Error: errMsg}
-	raw, _ := json.Marshal(l)
+// encodeLine builds the RawLine for one resolved cell: its raw cache
+// bytes (nil for a failed cell) or its error.
+func (j *Job) encodeLine(index int, result json.RawMessage, errMsg string) json.RawMessage {
+	raw, _ := json.Marshal(RawLine{Index: index, Cell: j.cells[index], Result: result, Error: errMsg})
 	return raw
+}
+
+// recordLocked builds the job's on-disk header. Caller holds j.mu.
+func (j *Job) recordLocked() Record {
+	rec := Record{
+		ID: j.id, Tenant: j.tenant, Lane: j.lane, Kind: j.kind, Cells: j.cells,
+		TTLSec: int64(j.ttl / time.Second), CreatedUnixMs: j.created.UnixMilli(),
+		State: j.state, DeadlineMet: j.dlMet,
+	}
+	if rec.State == "" {
+		rec.State = StateRunning
+	}
+	if !j.deadline.IsZero() {
+		rec.DeadlineUnixMs = j.deadline.UnixMilli()
+	}
+	if !j.doneAt.IsZero() {
+		rec.DoneUnixMs = j.doneAt.UnixMilli()
+	}
+	return rec
 }
 
 // Manager owns every job's lifecycle: submission, fair-share dispatch,
@@ -227,8 +233,8 @@ func (m *Manager) Start() (resumed int, err error) {
 	return resumed, nil
 }
 
-// Submit validates quota, persists the job (when durable), queues its
-// cells, and returns the live job.
+// Submit validates quota, persists the job (when the manager has a
+// store), queues its cells, and returns the live job.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	if spec.Tenant == "" {
 		spec.Tenant = DefaultTenant
@@ -251,8 +257,8 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	m.mu.Unlock()
 
 	j := &Job{
-		id: id, tenant: spec.Tenant, lane: spec.Lane, kind: spec.Kind,
-		cells: spec.Cells, durable: spec.Durable, deadline: spec.Deadline,
+		m: m, id: id, tenant: spec.Tenant, lane: spec.Lane, kind: spec.Kind,
+		cells: spec.Cells, deadline: spec.Deadline,
 		ttl: ttl, created: now,
 		lines:  make([]json.RawMessage, len(spec.Cells)),
 		notify: make(chan struct{}),
@@ -262,8 +268,9 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	// dispatched and completed at once must find the job in m.jobs, and
 	// the record written here must not race finalizeLocked's rewrite of
 	// the same file.
-	if spec.Durable && m.store != nil {
-		if err := m.store.Put(m.record(j)); err != nil {
+	if m.store != nil {
+		// No other goroutine can see j yet, so its lock is not needed.
+		if err := m.store.Put(j.recordLocked()); err != nil {
 			return nil, err
 		}
 	}
@@ -280,33 +287,13 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	if err := m.sched.AddJob(spec.Tenant, sj, spec.Lane, false); err != nil {
 		m.unregister(id)
-		if spec.Durable && m.store != nil {
+		if m.store != nil {
 			_ = m.store.Reap(id)
 		}
 		return nil, err
 	}
 	m.submitted.Add(1)
 	return j, nil
-}
-
-func (m *Manager) record(j *Job) Record {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec := Record{
-		ID: j.id, Tenant: j.tenant, Lane: j.lane, Kind: j.kind, Cells: j.cells,
-		TTLSec: int64(j.ttl / time.Second), CreatedUnixMs: j.created.UnixMilli(),
-		State: j.state, DeadlineMet: j.dlMet,
-	}
-	if rec.State == "" {
-		rec.State = StateRunning
-	}
-	if !j.deadline.IsZero() {
-		rec.DeadlineUnixMs = j.deadline.UnixMilli()
-	}
-	if !j.doneAt.IsZero() {
-		rec.DoneUnixMs = j.doneAt.UnixMilli()
-	}
-	return rec
 }
 
 // Get returns a job by ID, or nil.
@@ -369,8 +356,8 @@ func (m *Manager) dispatchLoop() {
 		go func() {
 			defer m.wg.Done()
 			defer m.sched.Release(d.Tenant)
-			res, err := m.cfg.Exec(d)
-			m.complete(d, &res, err)
+			raw, err := m.cfg.Exec(d)
+			m.complete(d, raw, err)
 		}()
 	}
 }
@@ -390,7 +377,7 @@ func (m *Manager) observeWait(d Dispatched) {
 }
 
 // complete records one dispatched cell's outcome.
-func (m *Manager) complete(d Dispatched, res *expt.ServedResult, err error) {
+func (m *Manager) complete(d Dispatched, result json.RawMessage, err error) {
 	j := m.Get(d.JobID)
 	if j == nil {
 		return
@@ -399,22 +386,23 @@ func (m *Manager) complete(d Dispatched, res *expt.ServedResult, err error) {
 	switch {
 	case err != nil && IsCancelled(err):
 		j.cancelled++
-		if !j.durable {
-			// Ephemeral jobs account cancelled cells in the stream so a
-			// drained campaign still terminates; durable jobs leave the
-			// cell unresolved — the next boot re-dispatches it.
+		if m.store == nil {
+			// Without a store nothing resumes: account the cancelled
+			// cell in the stream so a drained job still terminates. With
+			// one the cell stays unresolved — the next boot
+			// re-dispatches it.
 			j.setLineLocked(d.Index, j.encodeLine(d.Index, nil, err.Error()))
 		}
 	case err != nil:
 		j.failed++
 		j.setLineLocked(d.Index, j.encodeLine(d.Index, nil, err.Error()))
-		if j.durable && m.store != nil {
+		if m.store != nil {
 			_ = m.store.AppendCursor(j.id, CursorEntry{Index: d.Index, Error: err.Error()})
 		}
 	default:
 		j.completed++
-		j.setLineLocked(d.Index, j.encodeLine(d.Index, res, ""))
-		if j.durable && m.store != nil {
+		j.setLineLocked(d.Index, j.encodeLine(d.Index, result, ""))
+		if m.store != nil {
 			_ = m.store.AppendCursor(j.id, CursorEntry{Index: d.Index})
 		}
 	}
@@ -424,15 +412,15 @@ func (m *Manager) complete(d Dispatched, res *expt.ServedResult, err error) {
 }
 
 // finalizeLocked moves a job to its terminal state once every cell is
-// accounted for. Durable jobs do not count cancelled cells — those
-// resume — so a drained durable job simply stays running (stalled)
-// until the next boot. Caller holds j.mu.
+// accounted for. With a store, cancelled cells do not count — they
+// resume — so a drained job simply stays running (stalled) until the
+// next boot. Caller holds j.mu.
 func (m *Manager) finalizeLocked(j *Job) {
 	if j.finalized {
 		return
 	}
 	accounted := j.completed + j.failed
-	if !j.durable {
+	if m.store == nil {
 		accounted += j.cancelled
 	}
 	if accounted < len(j.cells) {
@@ -459,16 +447,8 @@ func (m *Manager) finalizeLocked(j *Job) {
 	case StateFailed:
 		m.failedJobs.Add(1)
 	}
-	if j.durable && m.store != nil {
-		rec := Record{
-			ID: j.id, Tenant: j.tenant, Lane: j.lane, Kind: j.kind, Cells: j.cells,
-			TTLSec: int64(j.ttl / time.Second), CreatedUnixMs: j.created.UnixMilli(),
-			State: j.state, DoneUnixMs: j.doneAt.UnixMilli(), DeadlineMet: j.dlMet,
-		}
-		if !j.deadline.IsZero() {
-			rec.DeadlineUnixMs = j.deadline.UnixMilli()
-		}
-		_ = m.store.Put(rec)
+	if m.store != nil {
+		_ = m.store.Put(j.recordLocked())
 	}
 	m.sched.JobDone(j.tenant)
 }
@@ -486,8 +466,8 @@ func (m *Manager) resume() (int, error) {
 	for _, sj := range stored {
 		rec := sj.Record
 		j := &Job{
-			id: rec.ID, tenant: rec.Tenant, lane: rec.Lane, kind: rec.Kind,
-			cells: rec.Cells, durable: true,
+			m: m, id: rec.ID, tenant: rec.Tenant, lane: rec.Lane, kind: rec.Kind,
+			cells:   rec.Cells,
 			ttl:     time.Duration(rec.TTLSec) * time.Second,
 			created: time.UnixMilli(rec.CreatedUnixMs),
 			lines:   make([]json.RawMessage, len(rec.Cells)),
@@ -517,9 +497,7 @@ func (m *Manager) resume() (int, error) {
 			case ok:
 				if raw, hit := m.lookup(j.cells[i]); hit {
 					j.completed++
-					l := RawLine{Index: i, Cell: j.cells[i], Result: raw}
-					b, _ := json.Marshal(l)
-					j.setLineLocked(i, b)
+					j.setLineLocked(i, j.encodeLine(i, raw, ""))
 					continue
 				}
 				// Cursor says finished but the cache entry is gone
@@ -550,7 +528,7 @@ func (m *Manager) resume() (int, error) {
 		} else {
 			j.resumed = true
 			if len(pending) == 0 {
-				m.finalizeViaLock(j, true)
+				m.finalizeViaLock(j)
 			} else {
 				sjq := &schedJob{id: j.id, cells: pending}
 				_ = m.sched.AddJob(j.tenant, sjq, j.lane, true)
@@ -568,13 +546,11 @@ func (m *Manager) resume() (int, error) {
 }
 
 // finalizeViaLock finalizes a job that reached terminal state outside
-// the dispatch path (resume with full cursor coverage). countJob keeps
-// the scheduler's queued-jobs balance right: resume never charged one.
-func (m *Manager) finalizeViaLock(j *Job, addJobFirst bool) {
-	if addJobFirst {
-		// Balance the JobDone inside finalizeLocked.
-		_ = m.sched.AddJob(j.tenant, &schedJob{id: j.id}, j.lane, true)
-	}
+// the dispatch path (resume with full cursor coverage). It first
+// charges the scheduler one queued job, which resume never did, to
+// balance the JobDone inside finalizeLocked.
+func (m *Manager) finalizeViaLock(j *Job) {
+	_ = m.sched.AddJob(j.tenant, &schedJob{id: j.id}, j.lane, true)
 	j.mu.Lock()
 	m.finalizeLocked(j)
 	j.wakeLocked()
@@ -637,13 +613,14 @@ func (m *Manager) gcOnce(now time.Time) {
 					j.setLineLocked(i, j.encodeLine(i, nil, "job expired"))
 				}
 			}
+			rec := j.recordLocked()
 			j.wakeLocked()
 			j.mu.Unlock()
 			m.sched.CancelJob(j.tenant, j.id)
 			m.sched.JobDone(j.tenant)
 			m.expiredJobs.Add(1)
-			if j.durable && m.store != nil {
-				_ = m.store.Put(m.record(j))
+			if m.store != nil {
+				_ = m.store.Put(rec)
 			}
 		default:
 			j.mu.Unlock()
@@ -653,7 +630,7 @@ func (m *Manager) gcOnce(now time.Time) {
 
 func (m *Manager) reap(j *Job) {
 	m.unregister(j.id)
-	if j.durable && m.store != nil {
+	if m.store != nil {
 		_ = m.store.Reap(j.id)
 	}
 	m.reapedJobs.Add(1)
@@ -672,15 +649,15 @@ func (m *Manager) unregister(id string) {
 	}
 }
 
-// Stop closes the scheduler, cancels still-pending ephemeral cells
-// (durable ones stay on disk for the next boot), and waits — bounded
-// by ctx — for in-flight dispatch goroutines to record their
+// Stop closes the scheduler, cancels still-pending cells when there is
+// no store (with one they stay on disk for the next boot), and waits —
+// bounded by ctx — for in-flight dispatch goroutines to record their
 // outcomes.
 func (m *Manager) Stop(ctx context.Context) error {
 	m.gcOnceClose.Do(func() { close(m.gcStop) })
 	rest := m.sched.Close()
-	for _, d := range rest {
-		if j := m.Get(d.JobID); j != nil && !j.durable {
+	if m.store == nil {
+		for _, d := range rest {
 			m.complete(d, nil, MarkCancelled(ErrClosed))
 		}
 	}
@@ -740,10 +717,4 @@ func (m *Manager) WaitHistograms(interactive, batch *telemetry.Histogram) {
 	defer m.histMu.Unlock()
 	interactive.Merge(&m.waitIntUs)
 	batch.Merge(&m.waitBatUs)
-}
-
-// SortStatuses orders job statuses by ID (stable display order for
-// CLI and Statz consumers).
-func SortStatuses(sts []JobStatus) {
-	sort.Slice(sts, func(i, j int) bool { return sts[i].ID < sts[j].ID })
 }

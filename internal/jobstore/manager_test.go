@@ -45,12 +45,12 @@ func cellKey(cs expt.CellSpec) string {
 	return fmt.Sprintf("%s/%s/%s/%g", cs.Kind, cs.Design, cs.Workload, cs.Load)
 }
 
-func (f *fakeExec) exec(d Dispatched) (expt.ServedResult, error) {
+func (f *fakeExec) exec(d Dispatched) (json.RawMessage, error) {
 	if f.block != nil {
 		select {
 		case <-f.block:
 		case <-f.drainCh:
-			return expt.ServedResult{}, MarkCancelled(errors.New("draining"))
+			return nil, MarkCancelled(errors.New("draining"))
 		}
 	}
 	k := cellKey(d.Cell)
@@ -58,14 +58,11 @@ func (f *fakeExec) exec(d Dispatched) (expt.ServedResult, error) {
 	defer f.mu.Unlock()
 	f.runs[k]++
 	if err := f.fail[k]; err != nil {
-		return expt.ServedResult{}, err
+		return nil, err
 	}
 	raw := json.RawMessage(fmt.Sprintf(`{"cell":%q,"v":42}`, k))
 	f.cache[k] = raw
-	return expt.ServedResult{
-		Digest: k,
-		Raw:    &expt.RawCellResult{Digest: k, Result: raw},
-	}, nil
+	return raw, nil
 }
 
 func (f *fakeExec) lookup(cs expt.CellSpec) (json.RawMessage, bool) {
@@ -148,7 +145,7 @@ func TestManagerRunsDurableJob(t *testing.T) {
 	}
 	defer m.Stop(context.Background())
 
-	j, err := m.Submit(JobSpec{Tenant: "acme", Kind: "fig5", Cells: testCells(3), Durable: true})
+	j, err := m.Submit(JobSpec{Tenant: "acme", Kind: "fig5", Cells: testCells(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +182,7 @@ func TestManagerFailedCellFailsJob(t *testing.T) {
 	}
 	defer m.Stop(context.Background())
 
-	j, err := m.Submit(JobSpec{Cells: cells, Durable: true})
+	j, err := m.Submit(JobSpec{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +200,15 @@ func TestManagerResumeByteIdentical(t *testing.T) {
 	fe := newFakeExec()
 
 	// Run 1: cells block; complete exactly one, then "crash" (drain
-	// aborts the rest uncursored — durable cells stay unresolved on
-	// disk, exactly like a kill mid-flight).
+	// aborts the rest uncursored — with a store the cells stay
+	// unresolved on disk, exactly like a kill mid-flight).
 	fe.gate()
 	m1 := newTestManager(t, dir, fe)
 	if _, err := m1.Start(); err != nil {
 		t.Fatal(err)
 	}
 	cells := testCells(4)
-	j1, err := m1.Submit(JobSpec{Tenant: "acme", Kind: "fig5", Cells: cells, Durable: true})
+	j1, err := m1.Submit(JobSpec{Tenant: "acme", Kind: "fig5", Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +267,7 @@ func TestManagerResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m3.Stop(context.Background())
-	j3, err := m3.Submit(JobSpec{Tenant: "acme", Kind: "fig5", Cells: cells, Durable: true})
+	j3, err := m3.Submit(JobSpec{Tenant: "acme", Kind: "fig5", Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +279,32 @@ func TestManagerResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestManagerLineShapeIndependentOfStore: a manager with a store and
+// one without stream the same job as byte-identical RawLines.
+func TestManagerLineShapeIndependentOfStore(t *testing.T) {
+	var streams [][]byte
+	for _, dir := range []string{t.TempDir(), ""} {
+		m := newTestManager(t, dir, newFakeExec())
+		if _, err := m.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer m.Stop(context.Background())
+		j, err := m.Submit(JobSpec{Tenant: "acme", Kind: "fig5", Cells: testCells(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, j); st.Durable != (dir != "") {
+			t.Fatalf("dir %q: status durable = %v", dir, st.Durable)
+		}
+		streams = append(streams, streamOf(t, j))
+	}
+	if !bytes.Equal(streams[0], streams[1]) {
+		t.Fatalf("stream depends on the store:\nwith:    %s\nwithout: %s", streams[0], streams[1])
+	}
+}
+
+// TestManagerEphemeralCancelledOnStop: a manager with no store counts
+// the cells still pending at Stop cancelled, so the job terminates.
 func TestManagerEphemeralCancelledOnStop(t *testing.T) {
 	fe := newFakeExec()
 	fe.gate()
@@ -300,7 +323,7 @@ func TestManagerEphemeralCancelledOnStop(t *testing.T) {
 	}
 	st := waitDone(t, j)
 	if !st.Done || st.Completed != 1 || st.Cancelled != 2 {
-		t.Fatalf("ephemeral job after stop: %+v", st)
+		t.Fatalf("job without a store after stop: %+v", st)
 	}
 }
 
@@ -318,7 +341,7 @@ func TestManagerQuotaShedsSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := m.Submit(JobSpec{Tenant: "t", Cells: testCells(1), Durable: false}); err != nil {
+		if _, err := m.Submit(JobSpec{Tenant: "t", Cells: testCells(1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +365,7 @@ func TestManagerGCExpiresAndReaps(t *testing.T) {
 	}
 	defer m.Stop(context.Background())
 
-	done, err := m.Submit(JobSpec{Cells: testCells(1), Durable: true, TTL: time.Minute})
+	done, err := m.Submit(JobSpec{Cells: testCells(1), TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +376,7 @@ func TestManagerGCExpiresAndReaps(t *testing.T) {
 	m2, err := NewManager(Config{
 		Dir:      dir,
 		Defaults: Quota{Weight: 1, MaxInflight: 1, MaxQueuedJobs: 8},
-		Exec: func(d Dispatched) (expt.ServedResult, error) {
+		Exec: func(d Dispatched) (json.RawMessage, error) {
 			select {} // never completes; its job can only expire
 		},
 		Lookup: fe.lookup, GCInterval: time.Hour,

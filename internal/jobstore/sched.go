@@ -298,8 +298,8 @@ func (s *Scheduler) CancelJob(tenant, jobID string) int {
 }
 
 // Close stops dispatching and returns every still-pending cell so the
-// manager can decide each one's fate (ephemeral: cancelled; durable:
-// left for the next boot's resume).
+// manager can decide their fate (cancelled without a store, left for
+// the next boot's resume with one).
 func (s *Scheduler) Close() []Dispatched {
 	s.mu.Lock()
 	defer s.mu.Unlock()

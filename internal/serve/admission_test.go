@@ -52,8 +52,13 @@ func matrixCell(load float64) expt.CellSpec {
 	return expt.CellSpec{Kind: expt.KindMatrix, Design: "Baseline", Workload: "RSC", Load: load}
 }
 
+// stubResult is a stub run's result, with the raw entry job lines and
+// /v1/exec carry.
 func stubResult(cs expt.CellSpec) expt.ServedResult {
-	return expt.ServedResult{Kind: cs.Kind, Design: cs.Design, Workload: cs.Workload, Load: cs.Load, Digest: "stub"}
+	return expt.ServedResult{
+		Kind: cs.Kind, Design: cs.Design, Workload: cs.Workload, Load: cs.Load, Digest: "stub",
+		Raw: &expt.RawCellResult{Digest: "stub", Result: json.RawMessage(`{"stub":true}`)},
+	}
 }
 
 func postJSON(t *testing.T, url string, body any) (int, http.Header, []byte) {
@@ -367,8 +372,15 @@ func TestValidation400(t *testing.T) {
 		t.Errorf("unknown field = %d, want 400", status)
 	}
 
-	if status, _, body := postJSON(t, ts.URL+"/v1/campaigns", expt.CampaignSpec{Kind: "bogus"}); status != http.StatusBadRequest {
-		t.Errorf("invalid campaign = %d (%s), want 400", status, body)
+	// An invalid job spec dies at the boundary too: an unknown campaign
+	// kind (a field error), and an unknown lane.
+	for _, req := range []JobRequest{
+		{CampaignSpec: expt.CampaignSpec{Kind: "bogus"}},
+		{CampaignSpec: expt.CampaignSpec{Kind: expt.CampaignFig5, Designs: []string{"Baseline"}, Workloads: []string{"RSC"}, Loads: []float64{0.3}}, Lane: "urgent"},
+	} {
+		if status, _, body := postJSON(t, ts.URL+"/v1/jobs", req); status != http.StatusBadRequest {
+			t.Errorf("invalid job %+v = %d (%s), want 400", req, status, body)
+		}
 	}
 	var st Statz
 	getJSON(t, ts.URL+"/v1/statz", &st)
@@ -376,8 +388,10 @@ func TestValidation400(t *testing.T) {
 		t.Errorf("invalid requests consumed admission: admitted = %d", counter(st, "serve.admitted"))
 	}
 
-	if status := getJSON(t, ts.URL+"/v1/campaigns/c9999", nil); status != http.StatusNotFound {
-		t.Errorf("unknown campaign id = %d, want 404", status)
+	for _, path := range []string{"/v1/jobs/j9999", "/v1/jobs/j9999/results"} {
+		if status := getJSON(t, ts.URL+path, nil); status != http.StatusNotFound {
+			t.Errorf("unknown job id: GET %s = %d, want 404", path, status)
+		}
 	}
 }
 
@@ -451,7 +465,7 @@ func TestSSEStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8},
 		func(cs expt.CellSpec) (expt.ServedResult, error) { return stubResult(cs), nil })
 
-	acc := submitCampaign(t, ts.URL,
+	acc := submitJob(t, ts.URL,
 		expt.CampaignSpec{Kind: expt.CampaignFig5, Designs: []string{"Baseline"}, Workloads: []string{"RSC"}, Loads: []float64{0.3}})
 
 	req, err := http.NewRequest("GET", ts.URL+acc.Stream, nil)

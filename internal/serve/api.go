@@ -25,14 +25,6 @@ type CellRequest struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
-// CampaignAccepted is the POST /v1/campaigns response: where to stream
-// the submitted job's results from.
-type CampaignAccepted struct {
-	ID     string `json:"id"`
-	Cells  int    `json:"cells"`
-	Stream string `json:"stream"`
-}
-
 // JobRequest is the POST /v1/jobs body: a campaign expansion plus
 // multi-tenant scheduling directives. The tenant may also arrive via
 // the X-Duplexity-Tenant header; the body wins when both are set.
@@ -49,7 +41,9 @@ type JobRequest struct {
 	TTLSec int64 `json:"ttl_sec,omitempty"`
 }
 
-// JobAccepted is the POST /v1/jobs response.
+// JobAccepted is the POST /v1/jobs response: the job's identity and
+// where to stream its results from. Durable reports whether the daemon
+// persists jobs (it has a job directory).
 type JobAccepted struct {
 	ID      string `json:"id"`
 	Cells   int    `json:"cells"`

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"duplexity/internal/expt"
 	"duplexity/internal/jobstore"
 	"duplexity/internal/telemetry"
 )
@@ -25,9 +24,6 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/cells", s.handleCell)
 	mux.HandleFunc("POST /v1/exec", s.handleExec)
 	mux.HandleFunc("GET /v1/queuez", s.handleQueuez)
-	mux.HandleFunc("POST /v1/campaigns", s.handleSubmitCampaign)
-	mux.HandleFunc("GET /v1/campaigns", s.handleListCampaigns)
-	mux.HandleFunc("GET /v1/campaigns/{id}", s.handleStreamJobResults)
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
 	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
@@ -126,7 +122,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Raw == nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "cell resolved without raw entry"})
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: errNoRaw.Error()})
 		return
 	}
 	// Ship this request's recorded spans so the coordinator can adopt
@@ -156,46 +152,11 @@ func (s *Server) handleQueuez(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSubmitCampaign expands a batch submission into cells and starts
-// an asynchronous ephemeral job (dies with the process, like the
-// original campaign API); results stream from GET /v1/campaigns/{id}.
-func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
-	var spec expt.CampaignSpec
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	cells, err := spec.Expand()
-	if err != nil {
-		writeExecError(w, err)
-		return
-	}
-	if s.Draining() {
-		writeExecError(w, errDraining)
-		return
-	}
-	j, err := s.mgr.Submit(jobstore.JobSpec{
-		Tenant: r.Header.Get(HeaderTenant),
-		Kind:   spec.Kind,
-		Cells:  cells,
-	})
-	if err != nil {
-		writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, CampaignAccepted{
-		ID: j.ID(), Cells: len(cells), Stream: "/v1/campaigns/" + j.ID(),
-	})
-}
-
-func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.mgr.List(""))
-}
-
-// handleSubmitJob is the multi-tenant submission path: a campaign
-// expansion plus tenant, lane, deadline, and TTL directives. Jobs are
-// durable whenever the daemon has a job directory — they survive a
-// restart and resume exactly where they stopped.
+// handleSubmitJob is the one campaign submission path: a campaign
+// expansion plus tenant, lane, deadline, and TTL directives; results
+// stream from GET /v1/jobs/{id}/results. Jobs are durable whenever the
+// daemon has a job directory — they survive a restart and resume
+// exactly where they stopped.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
@@ -221,12 +182,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		tenant = r.Header.Get(HeaderTenant)
 	}
 	spec := jobstore.JobSpec{
-		Tenant:  tenant,
-		Lane:    lane,
-		Kind:    req.Kind,
-		Cells:   cells,
-		TTL:     time.Duration(req.TTLSec) * time.Second,
-		Durable: s.durable,
+		Tenant: tenant,
+		Lane:   lane,
+		Kind:   req.Kind,
+		Cells:  cells,
+		TTL:    time.Duration(req.TTLSec) * time.Second,
 	}
 	if req.DeadlineMs > 0 {
 		spec.Deadline = time.Now().Add(time.Duration(req.DeadlineMs) * time.Millisecond)
@@ -241,7 +201,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	st := j.Status()
 	writeJSON(w, http.StatusAccepted, JobAccepted{
 		ID: j.ID(), Cells: len(cells), Tenant: st.Tenant, Lane: string(st.Lane),
-		Durable: s.durable, Stream: "/v1/jobs/" + j.ID() + "/results",
+		Durable: st.Durable, Stream: "/v1/jobs/" + j.ID() + "/results",
 	})
 }
 

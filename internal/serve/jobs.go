@@ -10,23 +10,22 @@ import (
 	"duplexity/internal/telemetry"
 )
 
-// CellLine is one streamed result line of an ephemeral campaign job —
-// the NDJSON shape the /v1/campaigns API has always used, now owned by
-// the jobstore package.
-type CellLine = jobstore.CellLine
-
-// JobStatus is the API-facing summary of one job (campaign or
-// multi-tenant), shared with the jobstore package.
+// JobStatus is the API-facing summary of one job, shared with the
+// jobstore package.
 type JobStatus = jobstore.JobStatus
+
+// errNoRaw reports a cell resolved without its cache-entry-level form,
+// which every raw caller (/v1/exec and job lines) ships.
+var errNoRaw = errors.New("cell resolved without raw entry")
 
 // runJobCell is the job manager's ExecFunc: it pushes one dispatched
 // cell through the server's normal cache probe → admission → coalesce →
-// pool path with backpressure, asking for the raw entry durable job
-// streams carry. Drain and shutdown outcomes are wrapped with
-// MarkCancelled so the manager treats the cell as interrupted-not-
-// failed: ephemeral jobs account it cancelled, durable jobs leave it
-// pending for the next boot's resume.
-func (s *Server) runJobCell(d jobstore.Dispatched) (expt.ServedResult, error) {
+// pool path with backpressure and returns the raw result bytes the
+// job's stream line carries. Drain and shutdown outcomes are wrapped
+// with MarkCancelled so the manager treats the cell as interrupted-
+// not-failed: counted cancelled on a daemon without a job directory,
+// left pending for the next boot's resume on one with it.
+func (s *Server) runJobCell(d jobstore.Dispatched) (json.RawMessage, error) {
 	res, _, err := s.execCellOpts(context.Background(), d.Cell, execOpts{
 		block:    true,
 		tc:       telemetry.TraceContext{Campaign: d.JobID},
@@ -34,15 +33,20 @@ func (s *Server) runJobCell(d jobstore.Dispatched) (expt.ServedResult, error) {
 		queuedAt: d.Queued,
 		raw:      true,
 	})
-	if err != nil && (errors.Is(err, errDraining) || errors.Is(err, context.Canceled)) {
-		err = jobstore.MarkCancelled(err)
+	switch {
+	case err != nil && (errors.Is(err, errDraining) || errors.Is(err, context.Canceled)):
+		return nil, jobstore.MarkCancelled(err)
+	case err != nil:
+		return nil, err
+	case res.Raw == nil:
+		return nil, errNoRaw
 	}
-	return res, err
+	return res.Raw.Result, nil
 }
 
 // lookupCell is the job manager's LookupFunc: a read-only probe of the
 // campaign cache for a finished cell's raw result bytes, used to
-// rematerialize resumed durable jobs without re-simulating anything.
+// rematerialize resumed jobs without re-simulating anything.
 func (s *Server) lookupCell(cs expt.CellSpec) (json.RawMessage, bool) {
 	eng := s.suite.Engine()
 	if eng == nil {

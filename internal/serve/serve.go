@@ -24,6 +24,10 @@
 //     campaign engine — the same cache, journal, and accounting as CLI
 //     batches, so served results are byte-identical to CLI runs.
 //
+// A campaign is a job (POST /v1/jobs, scheduled by internal/jobstore):
+// its cells take the same path with backpressure instead of shedding,
+// and stream back as their raw cache bytes in submission order.
+//
 // One bad cell cannot take the daemon down: worker panics are caught,
 // journaled, and surfaced as request errors while sibling cells keep
 // running. SIGTERM-style drain (Drain) refuses new work, finishes every
@@ -74,8 +78,9 @@ type Config struct {
 	DisableTracing bool
 
 	// JobDir is where durable job records and cursors live; "" means
-	// <cache dir>/jobs. With no cache directory either, jobs fall back
-	// to ephemeral (nothing survives a restart).
+	// <cache dir>/jobs. With no cache directory either, nothing
+	// survives a restart and a drain counts pending job cells
+	// cancelled.
 	JobDir string
 	// JobTTL bounds job state lifetime: finished jobs are reaped JobTTL
 	// after completion, unfinished ones expired JobTTL after
@@ -149,9 +154,6 @@ type Server struct {
 	// mgr owns every campaign job's lifecycle: durable storage,
 	// fair-share dispatch, resume, and TTL garbage collection.
 	mgr *jobstore.Manager
-	// durable reports whether job state survives restarts (a job
-	// directory resolved at startup).
-	durable bool
 	// resumed counts the incomplete durable jobs re-admitted at startup.
 	resumed int
 
@@ -233,7 +235,6 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	s.durable = jobDir != ""
 	mgr, err := jobstore.NewManager(jobstore.Config{
 		Dir: jobDir,
 		Defaults: jobstore.Quota{
@@ -302,9 +303,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.admitMu.Unlock()
 	s.drainOnce.Do(func() { close(s.drainCh) })
 
-	// Stop the job manager first: pending ephemeral cells cancel,
-	// pending durable cells stay on disk for the next boot's resume, and
-	// in-flight dispatches run to completion through the pool below.
+	// Stop the job manager first: pending job cells stay on disk for the
+	// next boot's resume (or, with no job directory, count cancelled),
+	// and in-flight dispatches run to completion through the pool below.
 	if err := s.mgr.Stop(ctx); err != nil {
 		return fmt.Errorf("serve: drain: %w", err)
 	}

@@ -15,22 +15,23 @@ import (
 	"duplexity/internal/telemetry"
 )
 
-// submitCampaign POSTs spec and returns the server's 202 acceptance.
-func submitCampaign(t *testing.T, base string, spec expt.CampaignSpec) CampaignAccepted {
+// submitJob POSTs spec as a job and returns the server's 202
+// acceptance.
+func submitJob(t *testing.T, base string, spec expt.CampaignSpec) JobAccepted {
 	t.Helper()
-	status, _, body := postJSON(t, base+"/v1/campaigns", spec)
+	status, _, body := postJSON(t, base+"/v1/jobs", JobRequest{CampaignSpec: spec})
 	if status != http.StatusAccepted {
-		t.Fatalf("campaign submission = %d (%s), want 202", status, body)
+		t.Fatalf("job submission = %d (%s), want 202", status, body)
 	}
-	var acc CampaignAccepted
+	var acc JobAccepted
 	if err := json.Unmarshal(body, &acc); err != nil {
 		t.Fatal(err)
 	}
 	return acc
 }
 
-// readStream fetches a campaign's NDJSON stream to completion and
-// returns the raw cell lines plus the final status line.
+// readStream fetches a job's NDJSON stream to completion and returns
+// the raw cell lines plus the final status line.
 func readStream(t *testing.T, url string) (cells [][]byte, final JobStatus) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -63,7 +64,7 @@ func readStream(t *testing.T, url string) (cells [][]byte, final JobStatus) {
 // end: the same small fig5 matrix submitted twice concurrently must
 // execute each cell exactly once (coalesced), stream byte-identical
 // results to both submitters, and land every cell in the shared
-// journal.
+// journal; a warm replay streams the cold lines byte for byte.
 func TestE2EServeCampaignBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation; skipped in -short")
@@ -86,20 +87,20 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 		Workloads: []string{"RSC"},
 		Loads:     []float64{0.3},
 	}
-	var ids []string
+	var streams []string
 	for i := 0; i < 2; i++ {
-		acc := submitCampaign(t, ts.URL, spec)
+		acc := submitJob(t, ts.URL, spec)
 		if acc.Cells != 2 {
 			t.Fatalf("expanded to %d cells, want 2", acc.Cells)
 		}
-		ids = append(ids, acc.ID)
+		streams = append(streams, acc.Stream)
 	}
 	// Every duplicate cell must have joined its leader's flight.
 	pollStatz(t, ts.URL, "2 coalesce hits", func(st Statz) bool { return counter(st, "serve.coalesce.hits") == 2 })
 	close(gate)
 
-	lines1, final1 := readStream(t, ts.URL+"/v1/campaigns/"+ids[0])
-	lines2, final2 := readStream(t, ts.URL+"/v1/campaigns/"+ids[1])
+	lines1, final1 := readStream(t, ts.URL+streams[0])
+	lines2, final2 := readStream(t, ts.URL+streams[1])
 	if final1.Completed != 2 || final2.Completed != 2 || final1.Failed+final2.Failed != 0 {
 		t.Fatalf("jobs did not complete cleanly: %+v / %+v", final1, final2)
 	}
@@ -135,31 +136,16 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 	}
 
 	// A repeat submission is now answered from the content-addressed
-	// cache: byte-identical lines again, zero new simulations.
-	acc := submitCampaign(t, ts.URL, spec)
-	lines3, final3 := readStream(t, ts.URL+"/v1/campaigns/"+acc.ID)
-	if final3.Completed != 2 {
-		t.Fatalf("warm job: %+v", final3)
+	// cache: zero new simulations, and lines byte-identical to the cold
+	// ones (a line carries no cached flag).
+	acc := submitJob(t, ts.URL, spec)
+	lines3, final3 := readStream(t, ts.URL+acc.Stream)
+	if final3.Completed != 2 || len(lines3) != len(lines1) {
+		t.Fatalf("warm job: %d lines, %+v", len(lines3), final3)
 	}
 	for i := range lines3 {
-		var warm, cold CellLine
-		if err := json.Unmarshal(lines3[i], &warm); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(lines1[i], &cold); err != nil {
-			t.Fatal(err)
-		}
-		if !warm.Result.Cached {
-			t.Errorf("warm line %d not served from cache", i)
-		}
-		if warm.Result.Digest != cold.Result.Digest {
-			t.Errorf("warm digest %s != cold digest %s", warm.Result.Digest, cold.Result.Digest)
-		}
-		warm.Result.Cached = cold.Result.Cached
-		wb, _ := json.Marshal(warm)
-		cb, _ := json.Marshal(cold)
-		if !bytes.Equal(wb, cb) {
-			t.Errorf("warm result diverges from cold at line %d:\n%s\n%s", i, wb, cb)
+		if !bytes.Equal(lines3[i], lines1[i]) {
+			t.Errorf("warm line %d diverges from cold:\n%s\n%s", i, lines3[i], lines1[i])
 		}
 	}
 	st = pollStatz(t, ts.URL, "cache hits", func(st Statz) bool { return counter(st, "serve.cells.cache_hits") == 2 })
@@ -173,11 +159,11 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 	// phase-1 results.
 	tails := func(queueing int, loads ...float64) campaign.Summary {
 		t.Helper()
-		acc := submitCampaign(t, ts.URL, expt.CampaignSpec{
+		acc := submitJob(t, ts.URL, expt.CampaignSpec{
 			Kind: expt.CampaignTails, Designs: []string{"Baseline", "Duplexity"},
 			Workloads: []string{"RSC"}, Loads: loads,
 		})
-		if _, final := readStream(t, ts.URL+"/v1/campaigns/"+acc.ID); final.Completed != 4 || final.Failed != 0 {
+		if _, final := readStream(t, ts.URL+acc.Stream); final.Completed != 4 || final.Failed != 0 {
 			t.Fatalf("tails job: %+v", final)
 		}
 		return pollStatz(t, ts.URL, "tails cells", func(st Statz) bool {
@@ -214,7 +200,7 @@ func TestE2EDrainCompletesInflight(t *testing.T) {
 		Workloads: []string{"RSC"},
 		Loads:     []float64{0.5},
 	}
-	acc := submitCampaign(t, ts.URL, spec)
+	acc := submitJob(t, ts.URL, spec)
 	// Wait for the cell to be admitted so the drain genuinely races a
 	// running simulation rather than an empty queue.
 	pollStatz(t, ts.URL, "cell admitted", func(st Statz) bool { return counter(st, "serve.admitted") == 1 })
@@ -225,7 +211,7 @@ func TestE2EDrainCompletesInflight(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	_, final := readStream(t, ts.URL+"/v1/campaigns/"+acc.ID)
+	_, final := readStream(t, ts.URL+acc.Stream)
 	if !final.Done || final.Completed != 1 || final.Cancelled != 0 {
 		t.Fatalf("drain lost in-flight work: %+v", final)
 	}
