@@ -1,43 +1,6 @@
 package duplexity
 
-import (
-	"bytes"
-	"testing"
-)
-
-func TestPublicAPITraceRoundTrip(t *testing.T) {
-	spec := WordStem()
-	gen := spec.NewGen(5)
-	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := CaptureTrace(tw, gen, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10_000 {
-		t.Fatalf("captured %d", n)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	stream, err := LoadTrace(&buf, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for {
-		if _, ok := stream.Next(0); !ok {
-			break
-		}
-		count++
-	}
-	if count != 10_000 {
-		t.Fatalf("replayed %d instructions", count)
-	}
-}
+import "testing"
 
 func TestPublicAPIProvisioning(t *testing.T) {
 	n, err := ProvisionContexts(ProvisionDemand{BatchStallFrac: 0.5, MasterBorrows: true})

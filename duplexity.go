@@ -30,8 +30,6 @@
 package duplexity
 
 import (
-	"io"
-
 	"duplexity/internal/analytic"
 	"duplexity/internal/campaign"
 	"duplexity/internal/core"
@@ -43,7 +41,6 @@ import (
 	"duplexity/internal/sched"
 	"duplexity/internal/stats"
 	"duplexity/internal/telemetry"
-	"duplexity/internal/trace"
 	"duplexity/internal/workload"
 )
 
@@ -256,18 +253,3 @@ func NewTelemetryRing(capacity int) *TelemetryRing { return telemetry.NewRing(ca
 
 // RequestSpans reconstructs per-request timelines from an event stream.
 func RequestSpans(events []TelemetryEvent) []TelemetrySpan { return telemetry.Spans(events) }
-
-// TraceWriter serializes an instruction stream to a compact binary trace
-// (the paper's trace-based simulation mode).
-type TraceWriter = trace.Writer
-
-// NewTraceWriter starts a trace on w.
-func NewTraceWriter(w io.Writer) (*TraceWriter, error) { return trace.NewWriter(w) }
-
-// CaptureTrace drains up to n instructions from s into tw.
-func CaptureTrace(tw *TraceWriter, s Stream, n uint64) (uint64, error) {
-	return trace.Capture(tw, s, n)
-}
-
-// LoadTrace reads a binary trace and returns a replaying stream.
-func LoadTrace(r io.Reader, loop bool) (Stream, error) { return trace.Load(r, loop) }

@@ -182,7 +182,11 @@ type Task[R any] struct {
 func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 	results := make([]R, len(tasks))
 	errs := make([]error, len(tasks))
-	var failed atomic.Bool
+	// firstFailed is the lowest index that has failed so far. Only cells
+	// above it are abandoned: a lower cell may still fail, and its error
+	// is the one Run reports.
+	var firstFailed atomic.Int64
+	firstFailed.Store(int64(len(tasks)))
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -191,13 +195,18 @@ func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if failed.Load() {
+				if int64(i) > firstFailed.Load() {
 					continue // drain the queue without starting new cells
 				}
 				r, _, err := runOne(e, tasks[i])
 				results[i], errs[i] = r, err
 				if err != nil {
-					failed.Store(true)
+					for {
+						f := firstFailed.Load()
+						if int64(i) >= f || firstFailed.CompareAndSwap(f, int64(i)) {
+							break
+						}
+					}
 				}
 			}
 		}()

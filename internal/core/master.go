@@ -216,9 +216,6 @@ func (m *MasterCore) SetRestartLat(cycles uint64) { m.restartLat = cycles }
 // Mode returns the current execution mode.
 func (m *MasterCore) Mode() Mode { return m.mode }
 
-// OoO exposes the master-thread engine.
-func (m *MasterCore) OoO() *cpu.OoOCore { return m.ooo }
-
 // FillerCore exposes the filler-thread datapath.
 func (m *MasterCore) FillerCore() *cpu.InOCore { return m.filler.Core() }
 

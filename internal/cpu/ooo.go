@@ -9,18 +9,6 @@ import (
 	"duplexity/internal/telemetry"
 )
 
-// FetchPolicy selects which thread fetches each cycle on an SMT core.
-type FetchPolicy int
-
-// Fetch policies.
-const (
-	// FetchICount picks the thread with the fewest in-flight instructions
-	// (Tullsen's ICOUNT, used by the SMT design point).
-	FetchICount FetchPolicy = iota
-	// FetchRoundRobin rotates threads.
-	FetchRoundRobin
-)
-
 type robState uint8
 
 const (
@@ -585,7 +573,7 @@ func (c *OoOCore) dispatch(now uint64) {
 }
 
 // fetch brings instructions into the fetch buffer of the thread selected
-// by the fetch policy (ICOUNT by default; priority thread first for SMT+).
+// by ICOUNT (priority thread first for SMT+).
 func (c *OoOCore) fetch(now uint64) {
 	// Select thread order.
 	order := c.orderBuf[:0]

@@ -502,27 +502,11 @@ func (out *ServedResult) decodePayload(data []byte, envelope bool) error {
 // has a fleet), simulation on a miss, journaling — identical accounting
 // to a CLI batch. Safe for concurrent use.
 func (s *Suite) RunServedRaw(cs CellSpec) (RawCellResult, error) {
-	return s.RunServedRawTraced(cs, nil)
-}
-
-// RunServedRawTraced is RunServedRaw with per-stage tracing threaded
-// into the campaign engine (nil tr: untraced).
-func (s *Suite) RunServedRawTraced(cs CellSpec, tr *telemetry.CellTrace) (RawCellResult, error) {
 	r, err := s.Resolve(cs)
 	if err != nil {
 		return RawCellResult{}, err
 	}
-	return s.runResolvedRaw(&r, tr, time.Time{})
-}
-
-// RunServed resolves one cell and decodes it into the API-facing
-// result shape (RunResolved over a fresh resolution, untraced).
-func (s *Suite) RunServed(cs CellSpec) (ServedResult, error) {
-	r, err := s.Resolve(cs)
-	if err != nil {
-		return ServedResult{}, err
-	}
-	return s.RunResolved(&r, nil, time.Time{})
+	return s.runResolvedRaw(&r, nil, time.Time{})
 }
 
 // Campaign kinds accepted at the API boundary: the matrix campaign

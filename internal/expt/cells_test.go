@@ -5,11 +5,22 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+	"time"
 
 	"duplexity/internal/campaign"
 	"duplexity/internal/core"
 	"duplexity/internal/workload"
 )
+
+// runCell resolves one cell and runs it through the campaign engine,
+// untraced and with no deadline.
+func runCell(s *Suite, cs CellSpec) (ServedResult, error) {
+	r, err := s.Resolve(cs)
+	if err != nil {
+		return ServedResult{}, err
+	}
+	return s.RunResolved(&r, nil, time.Time{})
+}
 
 func TestCellSpecValidate(t *testing.T) {
 	good := []CellSpec{
@@ -141,7 +152,7 @@ func TestRunServedMatchesCLIEntry(t *testing.T) {
 	if srv.Err() != nil {
 		t.Fatal(srv.Err())
 	}
-	res, err := srv.RunServed(CellSpec{Kind: KindMatrix, Design: "Baseline", Workload: spec.Name, Load: load})
+	res, err := runCell(srv, CellSpec{Kind: KindMatrix, Design: "Baseline", Workload: spec.Name, Load: load})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +179,7 @@ func TestRunServedMatchesCLIEntry(t *testing.T) {
 	}
 
 	// A second served request is answered by the cache, not simulation.
-	res2, err := srv.RunServed(CellSpec{Kind: KindMatrix, Design: "Baseline", Workload: spec.Name, Load: load})
+	res2, err := runCell(srv, CellSpec{Kind: KindMatrix, Design: "Baseline", Workload: spec.Name, Load: load})
 	if err != nil {
 		t.Fatal(err)
 	}

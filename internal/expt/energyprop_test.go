@@ -161,7 +161,7 @@ func TestEnergyQualitativeDeepVsFill(t *testing.T) {
 	s := NewSuite(Options{Scale: 0.01, Seed: 1})
 	run := func(design core.Design, gov string) *EnergyCellReport {
 		t.Helper()
-		res, err := s.RunServed(CellSpec{Kind: KindEnergyProp, Design: design.String(),
+		res, err := runCell(s, CellSpec{Kind: KindEnergyProp, Design: design.String(),
 			Workload: "RSC", Load: 0.5, Governor: gov})
 		if err != nil {
 			t.Fatal(err)

@@ -20,7 +20,7 @@ func BenchmarkServedHit(b *testing.B) {
 		{Kind: KindSlowdown, Design: "Duplexity", Workload: "RSC"},
 	}
 	for _, cs := range cells {
-		if _, err := s.RunServed(cs); err != nil {
+		if _, err := runCell(s, cs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -112,7 +112,7 @@ func TestSuiteWorkloadsReadOnly(t *testing.T) {
 			wg.Add(1)
 			go func(i int, cs CellSpec) {
 				defer wg.Done()
-				res, err := s.RunServed(cs)
+				res, err := runCell(s, cs)
 				errs[i], cached[i] = err, res.Cached
 			}(i, cs)
 		}

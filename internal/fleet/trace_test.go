@@ -142,7 +142,11 @@ func TestE2EFleetStitchedTimeline(t *testing.T) {
 	}
 	for i, cs := range specs {
 		tr := telemetry.NewCellTrace(telemetry.TraceContext{}, "")
-		if _, err := fleetSuite.RunServedRawTraced(cs, tr); err != nil {
+		r, err := fleetSuite.Resolve(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fleetSuite.RunResolved(&r, tr, time.Time{}); err != nil {
 			t.Fatalf("fleet cell %d: %v", i, err)
 		}
 		snap := tr.Finish()

@@ -182,9 +182,6 @@ func (s *Scheduler) Core() *cpu.InOCore { return s.core }
 // cross-component wake invalidation keys on.
 func (s *Scheduler) Pool() *Pool { return s.pool }
 
-// Bound returns the context bound to slot i (nil if none).
-func (s *Scheduler) Bound(i int) *VirtualContext { return s.bound[i] }
-
 // BoundCount returns the number of occupied physical contexts.
 func (s *Scheduler) BoundCount() int {
 	n := 0

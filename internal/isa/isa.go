@@ -133,8 +133,7 @@ type Eventer interface {
 }
 
 // Fixed is a Stream that replays a fixed slice of instructions, cyclically
-// if Loop is set. It supports the trace-based simulation mode the paper
-// uses for multi-threaded throughput workloads.
+// if Loop is set. Tests use it to drive a core with a hand-built program.
 type Fixed struct {
 	Instrs []Instr
 	Loop   bool
@@ -167,18 +166,4 @@ func (f *Fixed) Next(uint64) (Instr, bool) {
 	in := f.Instrs[f.pos]
 	f.pos++
 	return in, true
-}
-
-// Record drains up to n instructions from s (at cycle 0) into a slice,
-// for later replay with Fixed. Idle streams terminate recording early.
-func Record(s Stream, n int) []Instr {
-	out := make([]Instr, 0, n)
-	for i := 0; i < n; i++ {
-		in, ok := s.Next(0)
-		if !ok {
-			break
-		}
-		out = append(out, in)
-	}
-	return out
 }

@@ -245,24 +245,6 @@ func TestSynthInstrWellFormed(t *testing.T) {
 	}
 }
 
-func TestRecordReplay(t *testing.T) {
-	s := MustSynthStream(baseCfg(9))
-	tr := Record(s, 1000)
-	if len(tr) != 1000 {
-		t.Fatalf("recorded %d instrs", len(tr))
-	}
-	rep := &Fixed{Instrs: tr, Loop: true}
-	for i := 0; i < 2500; i++ {
-		in, ok := rep.Next(0)
-		if !ok {
-			t.Fatal("looping replay went idle")
-		}
-		if in != tr[i%1000] {
-			t.Fatalf("replay mismatch at %d", i)
-		}
-	}
-}
-
 // TestInstrSize pins the packed layout: pipelines copy an Instr on every
 // fetch, buffer push and issue, so padding costs on every instruction.
 func TestInstrSize(t *testing.T) {

@@ -1,62 +1,11 @@
-// Package metrics implements the multi-program performance metrics used
-// in the evaluation: system throughput (STP) and average normalized turn-
-// around time (ANTT) per Eyerman & Eeckhout, plus normalization helpers
-// for the figure tables.
+// Package metrics holds the aggregates the figure tables report:
+// geometric and arithmetic means of normalized results.
 package metrics
 
 import (
 	"fmt"
 	"math"
 )
-
-// STP is system throughput: the sum over threads of their multi-program
-// IPC relative to their isolated single-program IPC. Higher is better;
-// n perfectly isolated threads give STP = n.
-func STP(multiIPC, singleIPC []float64) (float64, error) {
-	if len(multiIPC) != len(singleIPC) || len(multiIPC) == 0 {
-		return 0, fmt.Errorf("metrics: STP needs matching non-empty IPC slices (%d vs %d)", len(multiIPC), len(singleIPC))
-	}
-	s := 0.0
-	for i := range multiIPC {
-		if singleIPC[i] <= 0 {
-			return 0, fmt.Errorf("metrics: thread %d single-program IPC must be positive", i)
-		}
-		s += multiIPC[i] / singleIPC[i]
-	}
-	return s, nil
-}
-
-// ANTT is average normalized turnaround time: the mean slowdown across
-// threads. Lower is better; 1 means no interference.
-func ANTT(multiIPC, singleIPC []float64) (float64, error) {
-	if len(multiIPC) != len(singleIPC) || len(multiIPC) == 0 {
-		return 0, fmt.Errorf("metrics: ANTT needs matching non-empty IPC slices")
-	}
-	s := 0.0
-	for i := range multiIPC {
-		if multiIPC[i] <= 0 {
-			return 0, fmt.Errorf("metrics: thread %d multi-program IPC must be positive", i)
-		}
-		s += singleIPC[i] / multiIPC[i]
-	}
-	return s / float64(len(multiIPC)), nil
-}
-
-// Normalize divides each value by values[base], the paper's presentation
-// convention ("normalized to Baseline").
-func Normalize(values []float64, base int) ([]float64, error) {
-	if base < 0 || base >= len(values) {
-		return nil, fmt.Errorf("metrics: base index %d outside %d values", base, len(values))
-	}
-	if values[base] == 0 {
-		return nil, fmt.Errorf("metrics: base value is zero")
-	}
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = v / values[base]
-	}
-	return out, nil
-}
 
 // GeoMean returns the geometric mean of positive values — the standard
 // aggregate for normalized performance ratios.

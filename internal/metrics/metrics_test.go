@@ -6,60 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSTP(t *testing.T) {
-	// Two threads at half their solo speed: STP = 1.
-	got, err := STP([]float64{1, 1}, []float64{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("STP = %v, want 1", got)
-	}
-	// Perfect isolation: STP = n.
-	got, _ = STP([]float64{2, 2, 2}, []float64{2, 2, 2})
-	if got != 3 {
-		t.Fatalf("STP = %v, want 3", got)
-	}
-	if _, err := STP(nil, nil); err == nil {
-		t.Fatal("empty STP accepted")
-	}
-	if _, err := STP([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("mismatched lengths accepted")
-	}
-	if _, err := STP([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("zero single-IPC accepted")
-	}
-}
-
-func TestANTT(t *testing.T) {
-	got, err := ANTT([]float64{1, 1}, []float64{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Fatalf("ANTT = %v, want 3", got)
-	}
-	if _, err := ANTT([]float64{0}, []float64{1}); err == nil {
-		t.Fatal("zero multi-IPC accepted")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{2, 4, 6}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
-		t.Fatalf("normalize = %v", out)
-	}
-	if _, err := Normalize([]float64{1}, 5); err == nil {
-		t.Fatal("bad base index accepted")
-	}
-	if _, err := Normalize([]float64{0, 1}, 0); err == nil {
-		t.Fatal("zero base accepted")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	got, err := GeoMean([]float64{1, 4})
 	if err != nil {
@@ -108,26 +54,6 @@ func TestAMGMProperty(t *testing.T) {
 			return false
 		}
 		return gm <= am*(1+1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: STP of identical multi/single IPCs equals thread count.
-func TestSTPIdentityProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := raw[:0]
-		for _, v := range raw {
-			if v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v) {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		got, err := STP(vals, vals)
-		return err == nil && math.Abs(got-float64(len(vals))) < 1e-9*float64(len(vals))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

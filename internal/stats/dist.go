@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Distribution is a sampleable probability distribution over non-negative
@@ -105,53 +104,6 @@ func (p PreparedLognormal) Mean() float64 { return p.l.MeanVal }
 
 func (p PreparedLognormal) String() string { return p.l.String() }
 
-// BoundedPareto is a heavy-tailed distribution on [L, H] with shape Alpha.
-// The paper notes that cloud service distributions are heavy-tailed; we use
-// bounded Pareto for the high-variability workload variants.
-type BoundedPareto struct {
-	L, H  float64
-	Alpha float64
-}
-
-// Sample implements Distribution.
-func (p BoundedPareto) Sample(r *RNG) float64 {
-	u := r.Float64()
-	la := math.Pow(p.L, p.Alpha)
-	ha := math.Pow(p.H, p.Alpha)
-	x := -(u*ha - u*la - ha) / (ha * la)
-	return math.Pow(x, -1/p.Alpha)
-}
-
-// Mean implements Distribution.
-func (p BoundedPareto) Mean() float64 {
-	if p.Alpha == 1 {
-		return p.L * p.H / (p.H - p.L) * math.Log(p.H/p.L)
-	}
-	la := math.Pow(p.L, p.Alpha)
-	num := la * p.Alpha / (p.Alpha - 1) * (1 - math.Pow(p.L/p.H, p.Alpha-1))
-	den := 1 - math.Pow(p.L/p.H, p.Alpha)
-	return num / den
-}
-
-func (p BoundedPareto) String() string {
-	return fmt.Sprintf("BPareto(L=%g,H=%g,a=%g)", p.L, p.H, p.Alpha)
-}
-
-// Shifted wraps a distribution and adds a constant offset to every sample,
-// modelling a fixed processing component plus a variable one.
-type Shifted struct {
-	Base  Distribution
-	Shift float64
-}
-
-// Sample implements Distribution.
-func (s Shifted) Sample(r *RNG) float64 { return s.Shift + s.Base.Sample(r) }
-
-// Mean implements Distribution.
-func (s Shifted) Mean() float64 { return s.Shift + s.Base.Mean() }
-
-func (s Shifted) String() string { return fmt.Sprintf("%g+%s", s.Shift, s.Base) }
-
 // Scaled multiplies every sample of Base by Factor. The queueing simulator
 // uses it to apply IPC-slowdown factors measured in the micro-architecture
 // simulation, per the paper's BigHouse methodology.
@@ -167,94 +119,3 @@ func (s Scaled) Sample(r *RNG) float64 { return s.Factor * s.Base.Sample(r) }
 func (s Scaled) Mean() float64 { return s.Factor * s.Base.Mean() }
 
 func (s Scaled) String() string { return fmt.Sprintf("%g*%s", s.Factor, s.Base) }
-
-// Mixture draws from component i with probability Weights[i].
-type Mixture struct {
-	Components []Distribution
-	Weights    []float64 // must sum to ~1
-}
-
-// NewMixture validates and constructs a mixture distribution.
-func NewMixture(components []Distribution, weights []float64) (Mixture, error) {
-	if len(components) == 0 || len(components) != len(weights) {
-		return Mixture{}, fmt.Errorf("stats: mixture needs equal, non-zero components (%d) and weights (%d)", len(components), len(weights))
-	}
-	sum := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			return Mixture{}, fmt.Errorf("stats: negative mixture weight %g", w)
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return Mixture{}, fmt.Errorf("stats: mixture weights sum to %g, want 1", sum)
-	}
-	return Mixture{Components: components, Weights: weights}, nil
-}
-
-// Sample implements Distribution.
-func (m Mixture) Sample(r *RNG) float64 {
-	u := r.Float64()
-	acc := 0.0
-	for i, w := range m.Weights {
-		acc += w
-		if u < acc {
-			return m.Components[i].Sample(r)
-		}
-	}
-	return m.Components[len(m.Components)-1].Sample(r)
-}
-
-// Mean implements Distribution.
-func (m Mixture) Mean() float64 {
-	mean := 0.0
-	for i, w := range m.Weights {
-		mean += w * m.Components[i].Mean()
-	}
-	return mean
-}
-
-func (m Mixture) String() string { return fmt.Sprintf("Mixture(%d)", len(m.Components)) }
-
-// Empirical samples uniformly from a fixed set of observations,
-// reproducing BigHouse's use of measured service-time distributions.
-type Empirical struct {
-	sorted []float64
-	mean   float64
-}
-
-// NewEmpirical builds an empirical distribution from observations.
-// It copies and sorts the data.
-func NewEmpirical(obs []float64) (*Empirical, error) {
-	if len(obs) == 0 {
-		return nil, fmt.Errorf("stats: empirical distribution needs at least one observation")
-	}
-	s := append([]float64(nil), obs...)
-	sort.Float64s(s)
-	sum := 0.0
-	for _, v := range s {
-		sum += v
-	}
-	return &Empirical{sorted: s, mean: sum / float64(len(s))}, nil
-}
-
-// Sample implements Distribution, drawing with linear interpolation between
-// adjacent order statistics so the support is continuous.
-func (e *Empirical) Sample(r *RNG) float64 {
-	n := len(e.sorted)
-	if n == 1 {
-		return e.sorted[0]
-	}
-	pos := r.Float64() * float64(n-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	return e.sorted[i]*(1-frac) + e.sorted[i+1]*frac
-}
-
-// Mean implements Distribution.
-func (e *Empirical) Mean() float64 { return e.mean }
-
-func (e *Empirical) String() string { return fmt.Sprintf("Empirical(n=%d)", len(e.sorted)) }
-
-// Quantile returns the q-quantile (0<=q<=1) of the observations.
-func (e *Empirical) Quantile(q float64) float64 { return Quantile(e.sorted, q) }

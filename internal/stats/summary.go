@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary accumulates streaming first/second-moment statistics using
 // Welford's algorithm, plus extrema. The zero value is ready to use.
@@ -87,7 +84,7 @@ func (s *Summary) Merge(other *Summary) {
 
 // Quantile returns the q-quantile (0 <= q <= 1) of sorted (ascending)
 // samples using linear interpolation between order statistics. If samples
-// is unsorted the result is undefined; use QuantileUnsorted for raw data.
+// is unsorted the result is undefined.
 func Quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
@@ -119,13 +116,6 @@ func quantileRank(n int, q float64) (i int, frac float64, interp bool) {
 
 // lerp interpolates linearly between adjacent order statistics a and b.
 func lerp(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
-
-// QuantileUnsorted copies, sorts, and returns the q-quantile of samples.
-func QuantileUnsorted(samples []float64, q float64) float64 {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return Quantile(s, q)
-}
 
 // MeanCI returns the sample mean and the half-width of its normal-
 // approximation confidence interval at the given z value (1.96 for 95%).

@@ -95,14 +95,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Bucket returns bucket i's count.
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= NumBuckets {
-		return 0
-	}
-	return h.buckets[i]
-}
-
 // Quantile returns an upper bound on the q-quantile (0 ≤ q ≤ 1): the
 // upper bound of the bucket containing the ceil(q*count)-th observation,
 // clamped to the observed max. Resolution is one power of two.

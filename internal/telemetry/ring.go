@@ -118,15 +118,6 @@ func (ew *EventWriter) Close() error {
 	return ew.err
 }
 
-// WriteEvents dumps events to w in the EventWriter text format.
-func WriteEvents(w io.Writer, events []Event) error {
-	ew := NewEventWriter(w)
-	for _, e := range events {
-		ew.Emit(e)
-	}
-	return ew.Close()
-}
-
 // EventSummary aggregates an event stream for manifests.
 type EventSummary struct {
 	// Total counts events emitted, Buffered those still in the ring, and

@@ -94,11 +94,6 @@ func MintID() string {
 	return fmt.Sprintf("%016x", idBase^idCounter.Add(1))
 }
 
-// MintTrace starts a fresh trace for a campaign cell submission.
-func MintTrace(campaign string) TraceContext {
-	return TraceContext{TraceID: MintID(), Campaign: campaign}
-}
-
 // Inject writes the context into h. A zero context (no TraceID) writes
 // nothing, keeping untraced requests byte-identical to pre-tracing ones.
 func (tc TraceContext) Inject(h http.Header) {

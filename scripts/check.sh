@@ -4,10 +4,11 @@
 #   1. gofmt -l . (any listed file fails the gate)
 #   2. go vet ./...
 #   3. go build ./...
-#   4. go test -race on the telemetry, core, campaign, expt, serve,
+#   4. go vet and go build of the perfbench module
+#   5. go test -race on the telemetry, core, campaign, expt, serve,
 #      and fleet packages plus the root e2e tests
-#   5. go test on cmd/duplexityd: the daemon as a real process
-#   6. a telemetry-overhead guard benchmark
+#   6. go test on cmd/duplexityd: the daemon as a real process
+#   7. a telemetry-overhead guard benchmark
 #
 # The guard compares BenchmarkDyadCycleRate (nil sink: every instrumented
 # site takes its one-nil-check fast path) against BenchmarkDyadTelemetry
@@ -35,6 +36,11 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== perfbench module (vet, build) =="
+# perfbench is its own module (replace duplexity => ../), so ./... above
+# never compiles it; a change to an internal API it calls breaks here.
+(cd perfbench && go vet ./... && go build -o /dev/null .)
 
 echo "== go test -race (telemetry, core, campaign, expt, serve, e2e) =="
 # -short skips the multi-million-cycle core simulations, which exceed
