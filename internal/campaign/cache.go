@@ -45,20 +45,10 @@ func (c *Cache) entryPath(digest string) string {
 	return filepath.Join(c.dir, digest+".json")
 }
 
-// Get returns the raw result JSON for a digest. A missing or
-// undecodable entry is a miss: the caller recomputes and Put overwrites
-// whatever was there.
-func (c *Cache) Get(digest string) (json.RawMessage, bool) {
-	e, ok := c.GetEntry(digest)
-	if !ok {
-		return nil, false
-	}
-	return e.Result, true
-}
-
 // GetEntry returns the full cached envelope for a digest — what a fleet
 // worker ships back to its coordinator, so the coordinator can store an
-// identical entry. Miss semantics match Get.
+// identical entry. A missing or undecodable entry is a miss: the caller
+// recomputes and Put overwrites whatever was there.
 func (c *Cache) GetEntry(digest string) (Entry, bool) {
 	data, err := c.read(digest)
 	if err != nil {

@@ -44,7 +44,7 @@ type Options struct {
 	// daemons, in practice) and its entries are written into the local
 	// cache verbatim, so a remote-executed campaign leaves the same cache
 	// bytes a local run would. A Remote error falls back to local
-	// computation when the task has a Run body.
+	// computation when the cell has a Compute body.
 	Remote Remote
 }
 
@@ -156,37 +156,40 @@ func (e *Engine) Counters() Summary {
 	return s
 }
 
-// Task is one campaign cell: a content-address for its full input and
-// the function that computes it. R must round-trip through
-// encoding/json unchanged for cache hits to be exact (exported fields,
-// no maps with non-deterministic iteration feeding back into results).
-type Task[R any] struct {
-	Key Key
-	Run func() (R, error)
-	// TwoPhase, when non-nil, resolves the cell through the two-layer
-	// cache (phase-1 micro-sims shared across cells, phase-2 stored
-	// under the cell's own digest) and Run is not called: the tail and
-	// energyprop tasks leave it nil. TwoPhase.Queue must produce the
-	// bytes the cell's whole pipeline would for the same key.
-	TwoPhase *TwoPhase
+// Cell is one campaign cell: a content-address for its full input,
+// the cache layer it belongs to, its phase-1 micro-sim dependencies
+// and the function that computes its result from theirs. Compute
+// receives the micro-sims' raw results in Micro's order and must be
+// deterministic from the key alone; a nil Compute marks a cell that
+// can only be answered by a cache or the remote.
+//
+// Layer is "" for a cell computed in one piece (matrix, slowdown) and
+// LayerQueueing for a queueing-stage cell. It is data, not inferred
+// from Micro: a Baseline tail or energyprop cell has no micro-sims (its
+// slowdown is 1.0 by definition) yet is still a queueing-layer cell.
+type Cell struct {
+	Key     Key
+	Layer   string
+	Micro   []MicroTask
+	Compute func(micro []json.RawMessage) (json.RawMessage, error)
 }
 
-// Run executes tasks on the engine's worker pool and returns their
-// results in submission order. Cells whose digest is already in the
-// cache are decoded instead of simulated and counted as hits; computed
-// cells are stored in the cache as they finish, so an interrupted
-// batch resumes from its completed cells. On failure Run returns the
-// error of the lowest-index failing task (deterministic at any worker
-// count); remaining queued cells are abandoned, but cells already
-// finished are still in the cache.
-func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
-	results := make([]R, len(tasks))
-	errs := make([]error, len(tasks))
+// Run resolves cells on the engine's worker pool and returns their
+// cache entries in submission order. Cells whose digest is already in
+// the cache are answered from it and counted as hits; computed cells
+// are stored as they finish, so an interrupted batch resumes from its
+// completed cells. On failure Run returns the error of the
+// lowest-index failing cell (deterministic at any worker count): once
+// a cell fails, only cells above the lowest index that has failed so
+// far are skipped, and cells already finished stay in the cache.
+func Run(e *Engine, cells []Cell) ([]Entry, error) {
+	entries := make([]Entry, len(cells))
+	errs := make([]error, len(cells))
 	// firstFailed is the lowest index that has failed so far. Only cells
-	// above it are abandoned: a lower cell may still fail, and its error
+	// above it are skipped: a lower cell may still fail, and its error
 	// is the one Run reports.
 	var firstFailed atomic.Int64
-	firstFailed.Store(int64(len(tasks)))
+	firstFailed.Store(int64(len(cells)))
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -198,8 +201,8 @@ func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 				if int64(i) > firstFailed.Load() {
 					continue // drain the queue without starting new cells
 				}
-				r, _, err := runOne(e, tasks[i])
-				results[i], errs[i] = r, err
+				ent, _, err := e.Resolve(&cells[i], nil, time.Time{})
+				entries[i], errs[i] = ent, err
 				if err != nil {
 					for {
 						f := firstFailed.Load()
@@ -211,7 +214,7 @@ func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 			}
 		}()
 	}
-	for i := range tasks {
+	for i := range cells {
 		idx <- i
 	}
 	close(idx)
@@ -219,7 +222,7 @@ func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 
 	for i, err := range errs {
 		if err != nil {
-			k := tasks[i].Key
+			k := cells[i].Key
 			return nil, fmt.Errorf("campaign: cell %s %s/%s@%v: %w",
 				k.Kind, k.Design, k.Workload, k.Load, err)
 		}
@@ -228,64 +231,22 @@ func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 	// can see how far the campaign has progressed (non-fatal, like the
 	// journal itself).
 	_ = e.Checkpoint(true)
-	return results, nil
+	return entries, nil
 }
 
-// Do resolves a single cell outside any batch: the asynchronous
-// submission hook used by long-running services (internal/serve) that
-// admit cells one at a time instead of in Run batches. It shares the
-// cache, journal, and stats accounting with Run and is safe for
-// concurrent use. The second return reports whether the cache answered
-// the cell.
-func Do[R any](e *Engine, t Task[R]) (R, bool, error) {
-	return runOne(e, t)
-}
-
-// runOne resolves one cell: cache probe, then simulation plus
-// storing and journaling on a miss. The bool reports a cache hit.
-func runOne[R any](e *Engine, t Task[R]) (R, bool, error) {
-	var zero R
-	var ent Entry
-	var cached bool
-	var err error
-	if t.TwoPhase != nil {
-		ent, cached, err = e.DoRawTwoPhase(t.Key, t.TwoPhase, nil, time.Time{})
-	} else {
-		var run func() (json.RawMessage, error)
-		if t.Run != nil {
-			run = func() (json.RawMessage, error) {
-				r, rerr := t.Run()
-				if rerr != nil {
-					return nil, rerr
-				}
-				raw, merr := json.Marshal(r)
-				if merr != nil {
-					return nil, fmt.Errorf("encoding result: %w", merr)
-				}
-				return raw, nil
-			}
-		}
-		ent, cached, err = e.DoRaw(t.Key, run, nil, time.Time{})
-	}
-	if err != nil {
-		return zero, false, err
-	}
-	var r R
-	if err := json.Unmarshal(ent.Result, &r); err != nil {
-		return zero, false, fmt.Errorf("decoding result: %w", err)
-	}
-	return r, cached, nil
-}
-
-// DoRaw resolves one cell at the cache-entry level: local cache probe,
-// then the remote executor (if configured), then local computation via
-// run. The returned Entry is exactly what the cache holds (or would
+// Resolve answers one cell at the cache-entry level: local cache probe
+// (the whole-cell layer), then the remote executor (if configured,
+// placed by the first micro-sim digest when the cell has micro-sims, so
+// every load fanned out from one micro-sim lands on one worker), then
+// local computation: each micro-sim through its own layer (in-memory
+// memo, disk cache, singleflight, simulation) before Compute combines
+// them. The returned Entry is exactly what the cache holds (or would
 // hold, sans cache dir), which is what lets a fleet worker ship its
 // envelope to a coordinator that then stores byte-identical entries.
 // The bool reports whether any cache — local or a remote worker's —
-// answered the cell. run may be nil when the caller cannot compute
-// locally; such a cell fails if it is neither cached nor remotely
-// executable.
+// answered the cell. Batches (Run) and long-running services
+// (internal/serve, one cell at a time) share this one path, and it is
+// safe for concurrent use.
 //
 // The cache probe, remote dispatch, local compute, and cache-write
 // serialization each record a span on tr (nil tr: untraced, zero extra
@@ -293,25 +254,29 @@ func runOne[R any](e *Engine, t Task[R]) (R, bool, error) {
 // completion. A non-zero deadline marks a deadline-lane cell and is
 // forwarded to the remote (see Remote). Neither tracing nor the
 // deadline changes what is computed or cached.
-func (e *Engine) DoRaw(k Key, run func() (json.RawMessage, error), tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
-	digest := k.Digest()
-	if ent, ok := e.hitEntry(digest, false, tr); ok {
+func (e *Engine) Resolve(c *Cell, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
+	digest := c.Key.Digest()
+	if ent, ok := e.hitEntry(digest, c.Layer, tr); ok {
 		return ent, true, nil
 	}
 
 	if e.remote != nil {
-		ent, remoteCached, resolved, err := e.execRemote(k, digest, "", tr, deadline)
-		if resolved {
-			if err != nil {
+		shard := ""
+		if len(c.Micro) > 0 {
+			shard = c.Micro[0].Key.Digest()
+		}
+		ent, remoteCached, err := e.remote.Exec(c.Key, shard, tr, deadline)
+		if err == nil {
+			if err := e.store(digest, ent, tr); err != nil {
 				return Entry{}, false, err
 			}
 			// Cached reports the worker's cache; WallSeconds is the
 			// worker's simulation time, so SimWallSeconds still sums
 			// real compute fleet-wide.
-			e.finish(k, digest, remoteCached, true, ent.WallSeconds, tr)
+			e.finish(c, digest, remoteCached, true, ent.WallSeconds, tr)
 			return ent, remoteCached, nil
 		}
-		if run == nil {
+		if c.Compute == nil {
 			e.stats.recordError()
 			return Entry{}, false, err
 		}
@@ -319,39 +284,34 @@ func (e *Engine) DoRaw(k Key, run func() (json.RawMessage, error), tr *telemetry
 		// a coordinator outlives its whole fleet.
 	}
 
-	if run == nil {
+	if c.Compute == nil {
 		e.stats.recordError()
 		return Entry{}, false, fmt.Errorf("cell %s not cached and not computable", digest[:12])
 	}
+	micro := make([]json.RawMessage, len(c.Micro))
+	for i, mt := range c.Micro {
+		raw, err := e.resolveMicro(mt)
+		if err != nil {
+			e.stats.recordError()
+			return Entry{}, false, err
+		}
+		micro[i] = raw
+	}
 
 	start := time.Now()
-	raw, err := run()
+	raw, err := c.Compute(micro)
 	wall := time.Since(start).Seconds()
 	tr.Stage(telemetry.StageCompute, start)
 	if err != nil {
 		e.stats.recordError()
 		return Entry{}, false, err
 	}
-	ent := Entry{Key: k, WallSeconds: wall, Result: raw}
+	ent := Entry{Key: c.Key, WallSeconds: wall, Result: raw}
 	if err := e.store(digest, ent, tr); err != nil {
 		return Entry{}, false, err
 	}
-	e.finish(k, digest, false, false, wall, tr)
+	e.finish(c, digest, false, false, wall, tr)
 	return ent, false, nil
-}
-
-// execRemote dispatches a cell to the engine's remote and writes the
-// entry it returns into the local cache verbatim, so a remote-executed
-// cell leaves the same cache bytes a local run would. resolved is false
-// when the remote itself failed (err is its error, and the caller may
-// compute locally); with resolved true, a non-nil err is a failed cache
-// write.
-func (e *Engine) execRemote(k Key, digest, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (ent Entry, cached, resolved bool, err error) {
-	ent, cached, err = e.remote.Exec(k, shardDigest, tr, deadline)
-	if err != nil {
-		return Entry{}, false, false, err
-	}
-	return ent, cached, true, e.store(digest, ent, tr)
 }
 
 // store writes a resolved cell's entry to the cache, when there is one,
@@ -374,11 +334,11 @@ func (e *Engine) store(digest string, ent Entry, tr *telemetry.CellTrace) error 
 // missing file, or bytes decode rejects, is a miss; a miss records
 // nothing, since whatever resolves the cell next records it. A hit
 // records a cache span with detail "hit" on tr and counts in Hits (and
-// in QueueingHits when twoPhase is set). Hits are counted, never
+// in QueueingHits for a LayerQueueing cell). Hits are counted, never
 // journaled, and add no Timings row. This is the engine's one cache
-// probe: DoRaw and DoRawTwoPhase call it first, and a serving layer
-// calls it directly to answer a warm hit without a pool hand-off.
-func (e *Engine) Hit(digest string, twoPhase bool, tr *telemetry.CellTrace, decode func(entry []byte) error) bool {
+// probe: Resolve calls it first, and a serving layer calls it directly
+// to answer a warm hit without a pool hand-off.
+func (e *Engine) Hit(digest, layer string, tr *telemetry.CellTrace, decode func(entry []byte) error) bool {
 	if e.cache == nil {
 		return false
 	}
@@ -388,16 +348,16 @@ func (e *Engine) Hit(digest string, twoPhase bool, tr *telemetry.CellTrace, deco
 		return false
 	}
 	tr.StageDetail(telemetry.StageCache, probe, "hit")
-	e.stats.recordHit(twoPhase)
+	e.stats.recordHit(layer)
 	return true
 }
 
 // hitEntry is Hit decoding the whole envelope. On a miss it records
 // the cache span with detail "miss" (when there is a cache to probe).
-func (e *Engine) hitEntry(digest string, twoPhase bool, tr *telemetry.CellTrace) (Entry, bool) {
+func (e *Engine) hitEntry(digest, layer string, tr *telemetry.CellTrace) (Entry, bool) {
 	var ent Entry
 	probe := time.Now()
-	if e.Hit(digest, twoPhase, tr, func(data []byte) error { return DecodeEntry(data, &ent) }) {
+	if e.Hit(digest, layer, tr, func(data []byte) error { return DecodeEntry(data, &ent) }) {
 		return ent, true
 	}
 	if e.cache != nil {
@@ -407,14 +367,20 @@ func (e *Engine) hitEntry(digest string, twoPhase bool, tr *telemetry.CellTrace)
 }
 
 // finish records the accounting of a computed or remote cell and
-// journals its completion (with the traced per-stage breakdown, when
-// there is one).
-func (e *Engine) finish(k Key, digest string, cached, remote bool, wall float64, tr *telemetry.CellTrace) {
+// journals its completion: the traced per-stage breakdown, when there
+// is one, and for a queueing-layer cell its layer and the phase-1
+// digests it was derived from.
+func (e *Engine) finish(c *Cell, digest string, cached, remote bool, wall float64, tr *telemetry.CellTrace) {
+	k := c.Key
 	seq := e.stats.record(CellTiming{
 		Kind: k.Kind, Design: k.Design, Workload: k.Workload, Load: k.Load,
 		Cached: cached, Remote: remote, WallSeconds: wall,
-	})
+	}, c.Layer)
 	if e.journal != nil {
+		var deps []string
+		for _, mt := range c.Micro {
+			deps = append(deps, mt.Key.Digest())
+		}
 		// Journal failures are deliberately non-fatal: the journal is an
 		// observability artifact; resume correctness comes from the
 		// content-addressed cache entries themselves.
@@ -423,6 +389,7 @@ func (e *Engine) finish(k Key, digest string, cached, remote bool, wall float64,
 			Design: k.Design, Workload: k.Workload, Load: k.Load,
 			Cached: cached, Remote: remote, WallSeconds: wall,
 			StagesUs: tr.StageTotalsUs(),
+			Layer:    c.Layer, MicroDigests: deps,
 		})
 	}
 }

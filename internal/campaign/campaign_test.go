@@ -36,21 +36,43 @@ func compute(i int) result {
 	return result{Index: i, Value: 0.1 * float64(i*i+1), Retired: uint64(i) * 1_000_003}
 }
 
-func tasksOf(n int, executed *atomic.Int64) []Task[result] {
-	tasks := make([]Task[result], n)
-	for i := 0; i < n; i++ {
-		i := i
-		tasks[i] = Task[result]{
-			Key: baseKey(i),
-			Run: func() (result, error) {
-				if executed != nil {
-					executed.Add(1)
-				}
-				return compute(i), nil
-			},
+// cellOf is a one-piece test cell whose result is compute(i), counting
+// its executions when executed is non-nil.
+func cellOf(i int, executed *atomic.Int64) Cell {
+	return Cell{
+		Key: baseKey(i),
+		Compute: func([]json.RawMessage) (json.RawMessage, error) {
+			if executed != nil {
+				executed.Add(1)
+			}
+			return json.Marshal(compute(i))
+		},
+	}
+}
+
+func cellsOf(n int, executed *atomic.Int64) []Cell {
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = cellOf(i, executed)
+	}
+	return cells
+}
+
+// failWith is a Compute body that always fails with err.
+func failWith(err error) func([]json.RawMessage) (json.RawMessage, error) {
+	return func([]json.RawMessage) (json.RawMessage, error) { return nil, err }
+}
+
+// decode unmarshals each entry's result as a test result.
+func decode(t *testing.T, ents []Entry) []result {
+	t.Helper()
+	out := make([]result, len(ents))
+	for i, ent := range ents {
+		if err := json.Unmarshal(ent.Result, &out[i]); err != nil {
+			t.Fatalf("entry %d: %v", i, err)
 		}
 	}
-	return tasks
+	return out
 }
 
 func TestKeyDigestStableAndSensitive(t *testing.T) {
@@ -112,11 +134,11 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(e, tasksOf(40, nil))
+		got, err := Run(e, cellsOf(40, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(decode(t, got), want) {
 			t.Fatalf("workers=%d: results differ from sequential", workers)
 		}
 	}
@@ -140,7 +162,7 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Run(cold, tasksOf(10, &executed))
+	r1, err := Run(cold, cellsOf(10, &executed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +178,7 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(warm, tasksOf(10, &executed))
+	r2, err := Run(warm, cellsOf(10, &executed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +223,7 @@ func TestDigestChangeResimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(e1, tasksOf(5, &executed)); err != nil {
+	if _, err := Run(e1, cellsOf(5, &executed)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,11 +233,11 @@ func TestDigestChangeResimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := tasksOf(5, &executed)
-	for i := range tasks {
-		tasks[i].Key.Model = "m2"
+	cells := cellsOf(5, &executed)
+	for i := range cells {
+		cells[i].Key.Model = "m2"
 	}
-	if _, err := Run(e2, tasks); err != nil {
+	if _, err := Run(e2, cells); err != nil {
 		t.Fatal(err)
 	}
 	if got := executed.Load(); got != 10 {
@@ -234,15 +256,15 @@ func TestResumeAfterFailure(t *testing.T) {
 	var executed atomic.Int64
 	boom := errors.New("cell exploded")
 
-	tasks := tasksOf(12, &executed)
-	failing := tasks[7].Run
-	tasks[7].Run = func() (result, error) { return result{}, boom }
+	cells := cellsOf(12, &executed)
+	healthy := cells[7].Compute
+	cells[7].Compute = failWith(boom)
 
 	e1, err := New(Options{Workers: 1, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(e1, tasks); !errors.Is(err, boom) {
+	if _, err := Run(e1, cells); !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want %v", err, boom)
 	}
 	done := executed.Load() // cells finished before the failure (7 with workers=1)
@@ -251,12 +273,12 @@ func TestResumeAfterFailure(t *testing.T) {
 	}
 
 	// "Fix the bug" and resume: only the unfinished cells simulate.
-	tasks[7].Run = failing
+	cells[7].Compute = healthy
 	e2, err := New(Options{Workers: 4, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(e2, tasks)
+	ents, err := Run(e2, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +289,9 @@ func TestResumeAfterFailure(t *testing.T) {
 	if int64(s.Hits) != done || s.Hits+s.Misses != 12 {
 		t.Fatalf("resume stats %+v (prior done = %d)", s, done)
 	}
-	for i := range got {
-		if got[i] != compute(i) {
-			t.Fatalf("cell %d: %+v != %+v", i, got[i], compute(i))
+	for i, got := range decode(t, ents) {
+		if got != compute(i) {
+			t.Fatalf("cell %d: %+v != %+v", i, got, compute(i))
 		}
 	}
 }
@@ -277,15 +299,15 @@ func TestResumeAfterFailure(t *testing.T) {
 func TestErrorIsLowestIndex(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	tasks := tasksOf(10, nil)
-	tasks[3].Run = func() (result, error) { return result{}, errB }
-	tasks[2].Run = func() (result, error) { return result{}, errA }
+	cells := cellsOf(10, nil)
+	cells[3].Compute = failWith(errB)
+	cells[2].Compute = failWith(errA)
 	for _, workers := range []int{1, 8} {
 		e, err := New(Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Run(e, tasks)
+		_, err = Run(e, cells)
 		if !errors.Is(err, errA) {
 			t.Fatalf("workers=%d: error = %v, want lowest-index %v", workers, err, errA)
 		}
@@ -327,12 +349,12 @@ func TestCorruptCacheEntryIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := tasksOf(1, &executed)
-	if _, err := Run(e1, tasks); err != nil {
+	cells := cellsOf(1, &executed)
+	if _, err := Run(e1, cells); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the entry on disk.
-	digest := tasks[0].Key.Digest()
+	digest := cells[0].Key.Digest()
 	if err := os.WriteFile(filepath.Join(dir, digest+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -340,18 +362,18 @@ func TestCorruptCacheEntryIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(e2, tasks)
+	ents, err := Run(e2, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if executed.Load() != 2 {
 		t.Fatalf("corrupt entry not re-simulated (%d executions)", executed.Load())
 	}
-	if got[0] != compute(0) {
-		t.Fatalf("recomputed cell wrong: %+v", got[0])
+	if got := decode(t, ents)[0]; got != compute(0) {
+		t.Fatalf("recomputed cell wrong: %+v", got)
 	}
 	// And the overwrite healed the cache.
-	if _, ok := e2.cache.Get(digest); !ok {
+	if _, ok := e2.cache.GetEntry(digest); !ok {
 		t.Fatal("recomputed entry not written back")
 	}
 }
@@ -387,10 +409,12 @@ type fakeRemote struct {
 	cached  bool             // reported "worker cache hit" flag
 	err     error
 	calls   atomic.Int64
+	shard   string // the last call's shard digest
 }
 
-func (f *fakeRemote) Exec(k Key, _ string, _ *telemetry.CellTrace, _ time.Time) (Entry, bool, error) {
+func (f *fakeRemote) Exec(k Key, shard string, _ *telemetry.CellTrace, _ time.Time) (Entry, bool, error) {
 	f.calls.Add(1)
+	f.shard = shard
 	if f.err != nil {
 		return Entry{}, false, f.err
 	}
@@ -418,37 +442,34 @@ func TestRemoteExecutesAndCachesLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	var executed atomic.Int64
-	task := Task[result]{Key: k, Run: func() (result, error) {
-		executed.Add(1)
-		return compute(0), nil
-	}}
-	r, cached, err := Do(e, task)
+	c := cellOf(0, &executed)
+	ent, cached, err := e.Resolve(&c, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Fatal("remote miss reported as cached")
 	}
-	if r != compute(0) {
+	if r := decode(t, []Entry{ent})[0]; r != compute(0) {
 		t.Fatalf("remote result wrong: %+v", r)
 	}
 	if executed.Load() != 0 {
-		t.Fatal("local Run executed despite healthy remote")
+		t.Fatal("local Compute executed despite healthy remote")
 	}
 	if rem.calls.Load() != 1 {
 		t.Fatalf("remote called %d times, want 1", rem.calls.Load())
 	}
 	// The remote entry landed in the local cache verbatim.
-	ent, ok := e.cache.GetEntry(k.Digest())
+	local, ok := e.cache.GetEntry(k.Digest())
 	if !ok {
 		t.Fatal("remote entry not written to local cache")
 	}
-	if ent.WallSeconds != 1.5 || !reflect.DeepEqual(ent.Key, k) {
-		t.Fatalf("local entry differs from remote envelope: %+v", ent)
+	if local.WallSeconds != 1.5 || !reflect.DeepEqual(local.Key, k) {
+		t.Fatalf("local entry differs from remote envelope: %+v", local)
 	}
 	// A second resolution hits the local cache, never the remote.
-	if _, cached, err := Do(e, task); err != nil || !cached {
-		t.Fatalf("second Do: cached=%v err=%v, want local hit", cached, err)
+	if _, cached, err := e.Resolve(&c, nil, time.Time{}); err != nil || !cached {
+		t.Fatalf("second Resolve: cached=%v err=%v, want local hit", cached, err)
 	}
 	if rem.calls.Load() != 1 {
 		t.Fatalf("remote consulted again after local cache warm (%d calls)", rem.calls.Load())
@@ -469,7 +490,8 @@ func TestRemoteWorkerCacheHitCountsAsHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cached, err := Do(e, Task[result]{Key: k, Run: func() (result, error) { return compute(3), nil }})
+	c := cellOf(3, nil)
+	_, cached, err := e.Resolve(&c, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,14 +511,12 @@ func TestRemoteFailureFallsBackLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	var executed atomic.Int64
-	r, cached, err := Do(e, Task[result]{Key: baseKey(7), Run: func() (result, error) {
-		executed.Add(1)
-		return compute(7), nil
-	}})
+	c := cellOf(7, &executed)
+	ent, cached, err := e.Resolve(&c, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached || r != compute(7) || executed.Load() != 1 {
+	if r := decode(t, []Entry{ent})[0]; cached || r != compute(7) || executed.Load() != 1 {
 		t.Fatalf("fallback wrong: cached=%v r=%+v executed=%d", cached, r, executed.Load())
 	}
 }
@@ -507,7 +527,7 @@ func TestRemoteFailureWithoutRunBodyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.DoRaw(baseKey(9), nil, nil, time.Time{}); err == nil {
+	if _, _, err := e.Resolve(&Cell{Key: baseKey(9)}, nil, time.Time{}); err == nil {
 		t.Fatal("uncomputable cell with dead remote should error")
 	}
 }

@@ -1,13 +1,20 @@
 package campaign
 
 import (
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func testKey(kind string, seed uint64) Key {
 	return Key{Kind: kind, Model: "test-v1", Design: "D", Workload: "W", Load: 0.5, Scale: 1, Seed: seed}
+}
+
+// constCell is a one-piece cell whose result is v.
+func constCell(k Key, v int) Cell {
+	return Cell{Key: k, Compute: func([]json.RawMessage) (json.RawMessage, error) { return json.Marshal(v) }}
 }
 
 // TestCheckpointOnCleanCompletion: a completed batch flushes a clean
@@ -18,11 +25,7 @@ func TestCheckpointOnCleanCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := []Task[int]{
-		{Key: testKey("cp", 1), Run: func() (int, error) { return 1, nil }},
-		{Key: testKey("cp", 2), Run: func() (int, error) { return 2, nil }},
-	}
-	if _, err := Run(e, tasks); err != nil {
+	if _, err := Run(e, []Cell{constCell(testKey("cp", 1), 1), constCell(testKey("cp", 2), 2)}); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := ReadCheckpoint(dir)
@@ -50,11 +53,7 @@ func TestCountersOmitTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := []Task[int]{
-		{Key: testKey("ct", 1), Run: func() (int, error) { return 1, nil }},
-		{Key: testKey("ct", 2), Run: func() (int, error) { return 2, nil }},
-	}
-	if _, err := Run(e, tasks); err != nil {
+	if _, err := Run(e, []Cell{constCell(testKey("ct", 1), 1), constCell(testKey("ct", 2), 2)}); err != nil {
 		t.Fatal(err)
 	}
 	full, counters := e.Stats(), e.Counters()
@@ -76,11 +75,12 @@ func TestCheckpointOnDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Do(e, Task[int]{Key: testKey("cp", 3), Run: func() (int, error) { return 3, nil }}); err != nil {
+	c := constCell(testKey("cp", 3), 3)
+	if _, _, err := e.Resolve(&c, nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	// No checkpoint yet: Do is the async path, flushing is the
-	// server's drain responsibility.
+	// No checkpoint yet: a single Resolve is the async path, flushing
+	// is the server's drain responsibility.
 	if cp, err := ReadCheckpoint(dir); err != nil || cp != nil {
 		t.Fatalf("unexpected checkpoint before drain: %v, %v", cp, err)
 	}
@@ -111,10 +111,10 @@ func TestCheckpointNoCache(t *testing.T) {
 	}
 }
 
-// TestDoCacheAndJournalIncomplete: Do shares cache accounting with Run,
-// and JournalIncomplete leaves an auditable journal record without
-// perturbing hit/miss counts.
-func TestDoCacheAndJournalIncomplete(t *testing.T) {
+// TestResolveCacheAndJournalIncomplete: a single Resolve shares cache
+// accounting with Run, and JournalIncomplete leaves an auditable
+// journal record without perturbing hit/miss counts.
+func TestResolveCacheAndJournalIncomplete(t *testing.T) {
 	dir := t.TempDir()
 	e, err := New(Options{Workers: 1, CacheDir: dir})
 	if err != nil {
@@ -122,17 +122,20 @@ func TestDoCacheAndJournalIncomplete(t *testing.T) {
 	}
 	k := testKey("do", 7)
 	calls := 0
-	task := Task[int]{Key: k, Run: func() (int, error) { calls++; return 42, nil }}
-	v, cached, err := Do(e, task)
-	if err != nil || v != 42 || cached {
-		t.Fatalf("first Do = (%d, %v, %v), want (42, false, nil)", v, cached, err)
+	c := Cell{Key: k, Compute: func([]json.RawMessage) (json.RawMessage, error) {
+		calls++
+		return json.RawMessage(`42`), nil
+	}}
+	ent, cached, err := e.Resolve(&c, nil, time.Time{})
+	if err != nil || string(ent.Result) != "42" || cached {
+		t.Fatalf("first Resolve = (%s, %v, %v), want (42, false, nil)", ent.Result, cached, err)
 	}
-	v, cached, err = Do(e, task)
-	if err != nil || v != 42 || !cached {
-		t.Fatalf("second Do = (%d, %v, %v), want (42, true, nil)", v, cached, err)
+	ent, cached, err = e.Resolve(&c, nil, time.Time{})
+	if err != nil || string(ent.Result) != "42" || !cached {
+		t.Fatalf("second Resolve = (%s, %v, %v), want (42, true, nil)", ent.Result, cached, err)
 	}
 	if calls != 1 {
-		t.Errorf("Run called %d times, want 1", calls)
+		t.Errorf("Compute called %d times, want 1", calls)
 	}
 
 	cancelled := testKey("do", 8)
@@ -159,7 +162,7 @@ func TestDoCacheAndJournalIncomplete(t *testing.T) {
 	}
 	// The incomplete record must not poison resume: the cancelled key
 	// has no cache entry.
-	if _, ok := e.cache.Get(cancelled.Digest()); ok {
+	if _, ok := e.cache.GetEntry(cancelled.Digest()); ok {
 		t.Error("cancelled cell has a cache entry")
 	}
 	_ = os.Remove(e.cache.JournalPath())

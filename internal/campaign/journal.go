@@ -40,11 +40,10 @@ type JournalEntry struct {
 	// untraced paths. encoding/json sorts map keys, so lines stay
 	// deterministic.
 	StagesUs map[string]int64 `json:"stages_us,omitempty"`
-	// Layer marks which cache layer of a two-phase cell this line
-	// records: LayerMicrosim for a phase-1 micro-sim resolution,
-	// LayerQueueing for the whole-cell (phase-2) completion. Empty for
-	// cells computed in one piece (matrix, slowdown), so pre-split
-	// journal lines are unchanged.
+	// Layer marks which cache layer this line records: LayerMicrosim
+	// for a phase-1 micro-sim resolution, LayerQueueing for a
+	// queueing-layer cell's completion. Empty (and omitted) for cells
+	// computed in one piece (matrix, slowdown).
 	Layer string `json:"layer,omitempty"`
 	// MicroDigests lists the phase-1 digests a queueing-layer cell was
 	// derived from, in dependency order.
@@ -58,11 +57,12 @@ type JournalEntry struct {
 	Status string `json:"status,omitempty"`
 }
 
-// Journal layer values for two-phase cells.
+// Journal and Cell layer values.
 const (
 	// LayerMicrosim marks a phase-1 micro-sim resolution.
 	LayerMicrosim = "microsim"
-	// LayerQueueing marks a two-phase cell's whole-cell completion.
+	// LayerQueueing marks a queueing-stage cell, whose micro-sims
+	// resolve through the phase-1 layer.
 	LayerQueueing = "queueing"
 )
 

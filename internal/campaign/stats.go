@@ -34,12 +34,11 @@ type Summary struct {
 	// Remote counts cells resolved by fleet workers (a subset of Cells).
 	Remote int `json:"remote,omitempty"`
 	Errors int `json:"errors,omitempty"`
-	// Per-layer counters for two-phase cells. Micro-sim resolutions are
-	// accounted here only — never in Cells/Hits/Misses, which still
-	// count whole cells — so a two-phase campaign's legacy totals stay
-	// comparable with runs from before the split. A queueing hit/miss is
-	// recorded alongside the legacy hit/miss for every two-phase cell;
-	// cells computed in one piece (matrix, slowdown) touch neither layer.
+	// Per-layer counters. Micro-sim resolutions are accounted here
+	// only, never in Cells/Hits/Misses, which count whole cells. Every
+	// LayerQueueing cell's hit or miss is recorded both here and in
+	// Hits/Misses; cells computed in one piece (matrix, slowdown) touch
+	// neither layer.
 	MicrosimHits   int `json:"microsim_hits,omitempty"`
 	MicrosimMisses int `json:"microsim_misses,omitempty"`
 	QueueingHits   int `json:"queueing_hits,omitempty"`
@@ -88,15 +87,23 @@ func (s *Stats) setPrior(n int) {
 	s.prior = n
 }
 
-// record logs one cell computed locally or resolved by a remote and
-// returns its journal sequence number.
-func (s *Stats) record(t CellTiming) int {
+// record logs one cell computed locally or resolved by a remote (and
+// its queueing-layer hit or miss for a LayerQueueing cell) and returns
+// its journal sequence number.
+func (s *Stats) record(t CellTiming, layer string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t.Cached {
 		s.hits++
 	} else {
 		s.misses++
+	}
+	if layer == LayerQueueing {
+		if t.Cached {
+			s.queueHits++
+		} else {
+			s.queueMiss++
+		}
 	}
 	if t.Remote {
 		s.remote++
@@ -108,13 +115,13 @@ func (s *Stats) record(t CellTiming) int {
 }
 
 // recordHit counts one local cache hit (and its queueing-layer hit for
-// a two-phase cell). A hit takes no sequence number: it is not
+// a LayerQueueing cell). A hit takes no sequence number: it is not
 // journaled.
-func (s *Stats) recordHit(twoPhase bool) {
+func (s *Stats) recordHit(layer string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hits++
-	if twoPhase {
+	if layer == LayerQueueing {
 		s.queueHits++
 	}
 }
@@ -143,18 +150,6 @@ func (s *Stats) recordMicro(hit bool, wall float64) int {
 	s.simWall += wall
 	s.seq++
 	return s.seq
-}
-
-// recordQueueing logs the phase-2 probe outcome of one two-phase cell
-// (recorded alongside the legacy hit/miss, which record() handles).
-func (s *Stats) recordQueueing(hit bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if hit {
-		s.queueHits++
-	} else {
-		s.queueMiss++
-	}
 }
 
 func (s *Stats) recordError() {

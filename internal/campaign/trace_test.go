@@ -10,11 +10,12 @@ import (
 	"duplexity/internal/telemetry"
 )
 
-// TestDoRawTracedSpansAndJournal checks the engine's side of the trace
-// contract for DoRaw with a trace: a cold cell records cache(miss)+compute+serialize spans, a
+// TestResolveTracedSpansAndJournal checks the engine's side of the
+// trace contract for Resolve with a trace: a cold cell records
+// cache(miss)+compute+serialize spans, a
 // warm repeat records cache(hit) only, the journal line carries the
 // stage breakdown, and the cached bytes are identical traced or not.
-func TestDoRawTracedSpansAndJournal(t *testing.T) {
+func TestResolveTracedSpansAndJournal(t *testing.T) {
 	dir := t.TempDir()
 	e, err := New(Options{Workers: 1, CacheDir: dir})
 	if err != nil {
@@ -22,10 +23,10 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 	}
 	k := baseKey(0)
 	raw := json.RawMessage(`{"v":1}`)
-	run := func() (json.RawMessage, error) { return raw, nil }
+	c := Cell{Key: k, Compute: func([]json.RawMessage) (json.RawMessage, error) { return raw, nil }}
 
 	tr := telemetry.NewCellTrace(telemetry.TraceContext{}, k.Digest())
-	ent, cached, err := e.DoRaw(k, run, tr, time.Time{})
+	ent, cached, err := e.Resolve(&c, tr, time.Time{})
 	if err != nil || cached {
 		t.Fatalf("cold cell: cached=%v err=%v", cached, err)
 	}
@@ -50,7 +51,7 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 
 	// Warm repeat: cache hit, no compute span, separate trace.
 	tr2 := telemetry.NewCellTrace(telemetry.TraceContext{}, k.Digest())
-	ent2, cached, err := e.DoRaw(k, run, tr2, time.Time{})
+	ent2, cached, err := e.Resolve(&c, tr2, time.Time{})
 	if err != nil || !cached {
 		t.Fatalf("warm cell: cached=%v err=%v", cached, err)
 	}
@@ -97,7 +98,7 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e2.DoRaw(k, run, nil, time.Time{}); err != nil {
+	if _, _, err := e2.Resolve(&c, nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	read := func(dir string) []byte {

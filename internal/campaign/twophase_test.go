@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,10 +27,13 @@ func twoPhaseKey(i int, load float64) Key {
 	return k
 }
 
-// twoPhaseOf builds a TwoPhase whose queue combines one micro result
-// with the load deterministically, counting executions of each stage.
-func twoPhaseOf(i int, load float64, microRuns, queueRuns *atomic.Int64) *TwoPhase {
-	return &TwoPhase{
+// twoPhaseOf builds a queueing-layer cell whose Compute combines one
+// micro result with the load deterministically, counting executions of
+// each stage.
+func twoPhaseOf(i int, load float64, microRuns, queueRuns *atomic.Int64) Cell {
+	return Cell{
+		Key:   twoPhaseKey(i, load),
+		Layer: LayerQueueing,
 		Micro: []MicroTask{{
 			Key: microKey(i),
 			Run: func() (json.RawMessage, error) {
@@ -39,7 +43,7 @@ func twoPhaseOf(i int, load float64, microRuns, queueRuns *atomic.Int64) *TwoPha
 				return json.Marshal(float64(i) * 10)
 			},
 		}},
-		Queue: func(micro []json.RawMessage) (json.RawMessage, error) {
+		Compute: func(micro []json.RawMessage) (json.RawMessage, error) {
 			if queueRuns != nil {
 				queueRuns.Add(1)
 			}
@@ -52,6 +56,18 @@ func twoPhaseOf(i int, load float64, microRuns, queueRuns *atomic.Int64) *TwoPha
 	}
 }
 
+// floats decodes each entry's result as a float64.
+func floats(t *testing.T, ents []Entry) []float64 {
+	t.Helper()
+	out := make([]float64, len(ents))
+	for i, ent := range ents {
+		if err := json.Unmarshal(ent.Result, &out[i]); err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+	}
+	return out
+}
+
 // A cold two-phase fan-out computes each micro-sim exactly once however
 // many loads share it, and the per-layer counters account micros and
 // queueing cells separately from the legacy whole-cell totals.
@@ -62,21 +78,17 @@ func TestTwoPhaseMicroComputedOnce(t *testing.T) {
 	}
 	loads := []float64{0.3, 0.5, 0.7}
 	var microRuns, queueRuns atomic.Int64
-	var tasks []Task[float64]
+	var cells []Cell
 	for i := 0; i < 2; i++ {
 		for _, load := range loads {
-			i, load := i, load
-			tasks = append(tasks, Task[float64]{
-				Key:      twoPhaseKey(i, load),
-				TwoPhase: twoPhaseOf(i, load, &microRuns, &queueRuns),
-			})
+			cells = append(cells, twoPhaseOf(i, load, &microRuns, &queueRuns))
 		}
 	}
-	got, err := Run(eng, tasks)
+	ents, err := Run(eng, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n, v := range got {
+	for n, v := range floats(t, ents) {
 		i, load := n/len(loads), loads[n%len(loads)]
 		if want := float64(i) * 10 * load; v != want {
 			t.Fatalf("cell %d = %v, want %v", n, v, want)
@@ -115,15 +127,11 @@ func TestTwoPhaseWarmAndGridChange(t *testing.T) {
 			return Summary{}, 0, err
 		}
 		var microRuns atomic.Int64
-		var tasks []Task[float64]
+		var cells []Cell
 		for _, load := range loads {
-			load := load
-			tasks = append(tasks, Task[float64]{
-				Key:      twoPhaseKey(0, load),
-				TwoPhase: twoPhaseOf(0, load, &microRuns, nil),
-			})
+			cells = append(cells, twoPhaseOf(0, load, &microRuns, nil))
 		}
-		if _, err := Run(eng, tasks); err != nil {
+		if _, err := Run(eng, cells); err != nil {
 			return Summary{}, 0, err
 		}
 		return eng.Stats(), microRuns.Load(), nil
@@ -168,8 +176,7 @@ func TestTwoPhaseJournalLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := Task[float64]{Key: twoPhaseKey(0, 0.5), TwoPhase: twoPhaseOf(0, 0.5, nil, nil)}
-	if _, err := Run(eng, []Task[float64]{task}); err != nil {
+	if _, err := Run(eng, []Cell{twoPhaseOf(0, 0.5, nil, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := ReadJournal(eng.cache.JournalPath())
@@ -216,13 +223,15 @@ func TestTwoPhaseSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tp := &TwoPhase{
+			c := Cell{
+				Key:   twoPhaseKey(0, float64(w+1)/10),
+				Layer: LayerQueueing,
 				Micro: []MicroTask{{Key: microKey(0), Run: slowMicro}},
-				Queue: func(micro []json.RawMessage) (json.RawMessage, error) {
+				Compute: func(micro []json.RawMessage) (json.RawMessage, error) {
 					return micro[0], nil
 				},
 			}
-			_, _, errs[w] = eng.DoRawTwoPhase(twoPhaseKey(0, float64(w+1)/10), tp, nil, time.Time{})
+			_, _, errs[w] = eng.Resolve(&c, nil, time.Time{})
 		}()
 	}
 	wg.Wait()
@@ -236,16 +245,74 @@ func TestTwoPhaseSingleflight(t *testing.T) {
 	}
 }
 
-// A nil decomposition is rejected rather than silently miscached.
+// A queueing-layer cell without a Compute body is rejected rather than
+// silently miscached.
 func TestTwoPhaseRejectsNil(t *testing.T) {
-	eng, err := New(Options{Workers: 1})
+	eng, err := New(Options{Workers: 1, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.DoRawTwoPhase(twoPhaseKey(0, 0.5), nil, nil, time.Time{}); err == nil {
-		t.Fatal("nil TwoPhase accepted")
+	c := twoPhaseOf(0, 0.5, nil, nil)
+	c.Compute = nil
+	if _, _, err := eng.Resolve(&c, nil, time.Time{}); err == nil {
+		t.Fatal("cell without Compute accepted")
 	}
-	if _, _, err := eng.DoRawTwoPhase(twoPhaseKey(0, 0.5), &TwoPhase{}, nil, time.Time{}); err == nil {
-		t.Fatal("TwoPhase without Queue accepted")
+	if _, ok := eng.Lookup(c.Key); ok {
+		t.Fatal("rejected cell has a cache entry")
+	}
+	if st := eng.Stats(); st.Errors != 1 || st.Cells != 0 {
+		t.Fatalf("stats errors=%d cells=%d, want 1 and 0", st.Errors, st.Cells)
+	}
+}
+
+// A queueing-layer cell is placed by its first micro-sim digest, and a
+// remote answer keeps the cell's layer accounting and journal line; when
+// the remote fails, the cell falls back to resolving its micro-sims and
+// computing locally.
+func TestTwoPhaseRemoteShardAndFallback(t *testing.T) {
+	c := twoPhaseOf(0, 0.5, nil, nil)
+	rem := &fakeRemote{entries: map[string]Entry{
+		c.Key.Digest(): {Key: c.Key, WallSeconds: 0.25, Result: json.RawMessage(`5`)},
+	}}
+	dir := t.TempDir()
+	eng, err := New(Options{Workers: 1, CacheDir: dir, Remote: rem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var microRuns atomic.Int64
+	c = twoPhaseOf(0, 0.5, &microRuns, nil)
+	ent, cached, err := eng.Resolve(&c, nil, time.Time{})
+	if err != nil || cached || string(ent.Result) != "5" {
+		t.Fatalf("remote cell = %s cached=%v err=%v", ent.Result, cached, err)
+	}
+	if rem.shard != microKey(0).Digest() {
+		t.Fatalf("shard digest %q, want the first micro-sim's %s", rem.shard, microKey(0).Digest())
+	}
+	if microRuns.Load() != 0 {
+		t.Fatal("micro-sim ran locally despite a healthy remote")
+	}
+	st := eng.Stats()
+	if st.Remote != 1 || st.QueueingMisses != 1 || st.MicrosimMisses != 0 {
+		t.Fatalf("stats remote=%d queueing misses=%d micro misses=%d, want 1/1/0",
+			st.Remote, st.QueueingMisses, st.MicrosimMisses)
+	}
+	lines, err := ReadJournal(eng.cache.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 1 || !lines[0].Remote || lines[0].Layer != LayerQueueing ||
+		len(lines[0].MicroDigests) != 1 || lines[0].MicroDigests[0] != microKey(0).Digest() {
+		t.Fatalf("journal = %+v, want one remote queueing line naming the micro-sim", lines)
+	}
+
+	rem.err = errors.New("fleet down")
+	c = twoPhaseOf(1, 0.7, &microRuns, nil)
+	ent, cached, err = eng.Resolve(&c, nil, time.Time{})
+	if err != nil || cached {
+		t.Fatalf("fallback: cached=%v err=%v", cached, err)
+	}
+	want := float64(1) * 10 * 0.7
+	if v := floats(t, []Entry{ent})[0]; v != want || microRuns.Load() != 1 {
+		t.Fatalf("fallback result %v with %d micro-sims, want %v with 1", v, microRuns.Load(), want)
 	}
 }

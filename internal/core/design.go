@@ -94,16 +94,6 @@ func (d Design) FreqGHz() float64 {
 // Morphs reports whether the design switches into a filler-thread mode.
 func (d Design) Morphs() bool { return d >= DesignMorphCore }
 
-// UsesHSMT reports whether the design's filler mode draws from a
-// virtual-context pool shared with a lender-core.
-func (d Design) UsesHSMT() bool { return d >= DesignMorphCorePlus }
-
-// SegregatesState reports whether filler-threads are isolated from the
-// master-thread's microarchitectural state.
-func (d Design) SegregatesState() bool {
-	return d == DesignDuplexity || d == DesignDuplexityRepl
-}
-
 // Timing constants for mode transitions (Sections III-B1 and III-B4).
 const (
 	// MorphInLat is the latency to reconfigure the datapath into

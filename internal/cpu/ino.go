@@ -183,17 +183,13 @@ func (c *InOCore) Bind(slot int, stream isa.Stream, now, swapLat uint64) {
 	}
 }
 
-// Unbind detaches slot i, returning its stream and any fetched-but-not-
-// issued instructions (which belong to the context and must be replayed
-// when it is next bound — streams are consuming generators). Statistics
-// remain with the slot (per-physical-context, matching hardware counters).
-func (c *InOCore) Unbind(slot int) (isa.Stream, []isa.Instr) {
-	return c.UnbindInto(slot, nil)
-}
-
-// UnbindInto is Unbind with a caller-supplied destination for the
-// pending instructions (typically the context's previous Pending slice,
-// truncated), so steady-state context churn does not allocate.
+// UnbindInto detaches slot i, returning its stream and any fetched-but-
+// not-issued instructions (which belong to the context and must be
+// replayed when it is next bound — streams are consuming generators),
+// appended to dst (typically the context's previous Pending slice,
+// truncated, so steady-state context churn does not allocate).
+// Statistics remain with the slot (per-physical-context, matching
+// hardware counters).
 func (c *InOCore) UnbindInto(slot int, dst []isa.Instr) (isa.Stream, []isa.Instr) {
 	s := c.slots[slot]
 	st := s.stream

@@ -135,7 +135,7 @@ func TestInOOnRemoteHandled(t *testing.T) {
 	c.OnRemote = func(slot int, in isa.Instr, completeAt uint64) RemoteAction {
 		calls++
 		// Pretend a scheduler swapped the context: rebind a fresh stream.
-		c.Unbind(slot)
+		c.UnbindInto(slot, nil)
 		c.Bind(slot, batchStream(99), completeAt%1000, 20)
 		return RemoteHandled
 	}
@@ -164,7 +164,7 @@ func TestInOBindUnbind(t *testing.T) {
 	// After the swap-in window, fetch fills the buffer; unbinding then
 	// must hand those instructions back for later replay.
 	c.Step(120)
-	got, pending := c.Unbind(0)
+	got, pending := c.UnbindInto(0, nil)
 	if got != s {
 		t.Fatal("unbind returned wrong stream")
 	}

@@ -12,17 +12,21 @@ import (
 
 func writeFile(path string) error { return os.WriteFile(path, []byte("x"), 0o644) }
 
-// subsetTasks picks a handful of real matrix cells spread across
-// designs and workloads, cheap enough to simulate repeatedly (and under
-// -race) where the full 105-cell matrix is not.
-func subsetTasks(s *Suite) []campaign.Task[cell] {
-	all := s.matrixTasks()
-	idx := []int{0, 31, 64, 104} // Baseline, SMT+, MorphCore+, Duplexity cells
-	tasks := make([]campaign.Task[cell], 0, len(idx))
-	for _, i := range idx {
-		tasks = append(tasks, all[i])
+// subsetSpecs picks a handful of the real matrix cells Matrix runs,
+// spread across designs and workloads, cheap enough to simulate
+// repeatedly (and under -race) where the full 105-cell matrix is not.
+func subsetSpecs(t *testing.T) []CellSpec {
+	t.Helper()
+	all, err := CampaignSpec{Kind: CampaignMatrix}.Expand()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tasks
+	idx := []int{0, 31, 64, 104} // Baseline, SMT+, MorphCore+, Duplexity cells
+	specs := make([]CellSpec, 0, len(idx))
+	for _, i := range idx {
+		specs = append(specs, all[i])
+	}
+	return specs
 }
 
 // TestCampaignCellsWorkersDeterminism is the simulation half of the
@@ -35,7 +39,7 @@ func TestCampaignCellsWorkersDeterminism(t *testing.T) {
 		if err := s.Err(); err != nil {
 			t.Fatal(err)
 		}
-		cells, err := campaign.Run(s.eng, subsetTasks(s))
+		cells, err := runSpecs[cell](s, subsetSpecs(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +65,7 @@ func TestCampaignCellsCacheRoundTrip(t *testing.T) {
 		if err := s.Err(); err != nil {
 			t.Fatal(err)
 		}
-		cells, err := campaign.Run(s.eng, subsetTasks(s))
+		cells, err := runSpecs[cell](s, subsetSpecs(t))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,12 +17,12 @@ import (
 	"duplexity/internal/workload"
 )
 
-// This file is the serving boundary of the experiment harness: it
-// resolves externally submitted cell requests (internal/serve's HTTP
-// API) onto the exact same campaign tasks the CLI figures submit.
-// Served cells therefore hit the same content-addressed cache keys and
-// produce byte-identical cache entries — the serve layer adds
-// scheduling, never semantics.
+// This file is the cell boundary of the experiment harness: it
+// resolves cell specs — externally submitted requests (internal/serve's
+// HTTP API) and the CLI figures' own cells alike — onto campaign cells
+// through one path. Served cells therefore hit the same
+// content-addressed cache keys and produce byte-identical cache entries
+// — the serve layer adds scheduling, never semantics.
 
 // Cell kinds accepted at the API boundary.
 const (
@@ -39,8 +39,8 @@ const (
 	// KindTail is one tail-latency queueing point (the Figure 5(d)/(e)
 	// BigHouse stage as a content-addressed cell): a queueing simulation
 	// whose service distribution is scaled by the design's closed-loop
-	// slowdown. Resolves two-phase by default — the slowdown micro-sims
-	// are shared phase-1 dependencies.
+	// slowdown. A queueing-layer cell: the slowdown micro-sims are
+	// shared phase-1 dependencies.
 	KindTail = "tail"
 )
 
@@ -284,10 +284,13 @@ type Resolved struct {
 	lambda float64
 }
 
-// twoPhase reports whether the cell's kind resolves through the
-// engine's two-layer cache: tail and energyprop cells do.
-func (r *Resolved) twoPhase() bool {
-	return r.Spec.Kind == KindTail || r.Spec.Kind == KindEnergyProp
+// layer is the campaign cache layer of the cell's kind: tail and
+// energyprop cells are queueing-layer cells.
+func (r *Resolved) layer() string {
+	if r.Spec.Kind == KindTail || r.Spec.Kind == KindEnergyProp {
+		return campaign.LayerQueueing
+	}
+	return ""
 }
 
 // resolve validates a spec and resolves its key, design, workload and
@@ -298,6 +301,9 @@ func (r *Resolved) twoPhase() bool {
 func (s *Suite) resolve(cs CellSpec) (Resolved, error) {
 	if err := cs.Validate(); err != nil {
 		return Resolved{}, err
+	}
+	if cs.Kind == KindSlowdown {
+		cs.Load = 0 // Validate admits -0: one closed-loop cell, one address
 	}
 	design, _ := ParseDesign(cs.Design)
 	r := Resolved{Spec: cs, design: design, wl: workloadByName(cs.Workload)}
@@ -358,7 +364,7 @@ func (s *Suite) ServeHit(r *Resolved, tr *telemetry.CellTrace, raw bool) (Served
 			return nil
 		}
 	}
-	if !s.eng.Hit(r.Digest, r.twoPhase(), tr, decode) {
+	if !s.eng.Hit(r.Digest, r.layer(), tr, decode) {
 		return ServedResult{}, false
 	}
 	return out, true
@@ -388,42 +394,15 @@ func (s *Suite) RunResolved(r *Resolved, tr *telemetry.CellTrace, deadline time.
 	return out, nil
 }
 
-// runResolvedRaw is RunResolved at the cache-entry level. The two-phase
-// kinds' stage closures and micro-sim keys are built here, so a hit
-// answered by ServeHit never builds them.
+// runResolvedRaw is RunResolved at the cache-entry level. The cell's
+// compute closure and micro-sim keys are built here, so a hit answered
+// by ServeHit never builds them.
 func (s *Suite) runResolvedRaw(r *Resolved, tr *telemetry.CellTrace, deadline time.Time) (RawCellResult, error) {
 	if s.engErr != nil {
 		return RawCellResult{}, s.engErr
 	}
-	cs, design, spec := r.Spec, r.design, r.wl
-	var ent campaign.Entry
-	var cached bool
-	var err error
-	switch cs.Kind {
-	case KindMatrix:
-		ent, cached, err = s.eng.DoRaw(r.Key, func() (json.RawMessage, error) {
-			c, err := s.runCell(design, spec, cs.Load)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		}, tr, deadline)
-	case KindSlowdown:
-		ent, cached, err = s.eng.DoRaw(r.Key, func() (json.RawMessage, error) {
-			v, err := s.measureSlowdown(design, spec)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(v)
-		}, tr, deadline)
-	// The two-phase kinds resolve their slowdown micro-sims through the
-	// engine's phase-1 layer, shared across every served cell and CLI
-	// figure that needs them.
-	case KindTail:
-		ent, cached, err = s.eng.DoRawTwoPhase(r.Key, s.tailTwoPhase(design, spec, cs.Load, r.lambda), tr, deadline)
-	case KindEnergyProp:
-		ent, cached, err = s.eng.DoRawTwoPhase(r.Key, s.energyTwoPhase(design, spec, cs.Governor, cs.Load), tr, deadline)
-	}
+	c := s.campaignCell(r)
+	ent, cached, err := s.eng.Resolve(&c, tr, deadline)
 	if err != nil {
 		return RawCellResult{}, err
 	}
@@ -431,6 +410,93 @@ func (s *Suite) runResolvedRaw(r *Resolved, tr *telemetry.CellTrace, deadline ti
 		Digest: r.Digest, Cached: cached,
 		WallSeconds: ent.WallSeconds, Result: ent.Result,
 	}, nil
+}
+
+// campaignCell builds the campaign cell of a resolved spec. It is the
+// one place each kind's computation is defined: served cells, CLI
+// figures and the slowdown micro-sims of queueing-layer cells all take
+// their cells from here, so one spec always computes the same bytes.
+func (s *Suite) campaignCell(r *Resolved) campaign.Cell {
+	cs, design, spec := r.Spec, r.design, r.wl
+	c := campaign.Cell{Key: r.Key, Layer: r.layer()}
+	switch cs.Kind {
+	case KindMatrix:
+		c.Compute = func([]json.RawMessage) (json.RawMessage, error) {
+			v, err := s.runCell(design, spec, cs.Load)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(v)
+		}
+	case KindSlowdown:
+		c.Compute = func([]json.RawMessage) (json.RawMessage, error) {
+			v, err := s.measureSlowdown(design, spec)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(v)
+		}
+	// The queueing-layer kinds resolve their slowdown micro-sims through
+	// the engine's phase-1 layer, shared across every served cell and CLI
+	// figure that needs them.
+	case KindTail:
+		c.Micro = s.slowMicros(design, spec)
+		c.Compute = func(micro []json.RawMessage) (json.RawMessage, error) {
+			slow, err := slowFromMicros(design, micro)
+			if err != nil {
+				return nil, err
+			}
+			v, err := s.queueTail(design, spec, cs.Load, r.lambda, slow)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(v)
+		}
+	case KindEnergyProp:
+		c.Micro = s.slowMicros(design, spec)
+		c.Compute = func(micro []json.RawMessage) (json.RawMessage, error) {
+			slow, err := slowFromMicros(design, micro)
+			if err != nil {
+				return nil, err
+			}
+			v, err := s.queueEnergyCell(design, spec, cs.Governor, cs.Load, slow)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(v)
+		}
+	}
+	return c
+}
+
+// runSpecs resolves a batch of cell specs, runs them through the
+// campaign engine (submission order kept; see campaign.Run) and decodes
+// each stored result as T. It is how every CLI figure runs its cells.
+func runSpecs[T any](s *Suite, specs []CellSpec) ([]T, error) {
+	if s.engErr != nil {
+		return nil, s.engErr
+	}
+	cells := make([]campaign.Cell, len(specs))
+	for i, cs := range specs {
+		r, err := s.resolve(cs)
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = s.campaignCell(&r)
+	}
+	ents, err := campaign.Run(s.eng, cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, len(ents))
+	for i, ent := range ents {
+		v, err := decodeStored[T](ent.Result, false)
+		if err != nil {
+			return nil, fmt.Errorf("expt: decoding %s cell: %w", specs[i].Kind, err)
+		}
+		out[i] = *v
+	}
+	return out, nil
 }
 
 // served returns the result header every kind shares.
@@ -534,8 +600,8 @@ type CampaignSpec struct {
 
 // Expand validates a campaign submission and enumerates its cells in
 // canonical (paper) order: design-major, then workload, then load —
-// the same order the CLI's matrixTasks uses, so streamed results line
-// up with figure rows.
+// for a matrix campaign, exactly the cells Suite.Matrix runs, so
+// streamed results line up with figure rows.
 func (c CampaignSpec) Expand() ([]CellSpec, error) {
 	var errs []FieldError
 	cellKind := ""

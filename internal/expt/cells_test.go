@@ -106,12 +106,34 @@ func TestCampaignSpecExpand(t *testing.T) {
 	}
 }
 
+// matrixSpec returns the cell of the given point from the enumeration
+// Matrix runs.
+func matrixSpec(t *testing.T, design, wl string, load float64) CellSpec {
+	t.Helper()
+	all, err := CampaignSpec{Kind: CampaignMatrix}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range all {
+		if cs.Design == design && cs.Workload == wl && cs.Load == load {
+			return cs
+		}
+	}
+	t.Fatalf("no matrix cell %s/%s@%v", design, wl, load)
+	return CellSpec{}
+}
+
 // TestServedKeyMatchesCLI: a served cell's cache key is exactly the key
-// the CLI figure path computes for the same point.
+// of the campaign cell the CLI's Matrix runs for the same point, and
+// the key the figure path has always built for it.
 func TestServedKeyMatchesCLI(t *testing.T) {
 	s := NewSuite(Options{Scale: 0.02, Seed: 3})
 	spec := workload.Microservices()[1]
-	cli := s.cellKey("matrix", core.DesignDuplexity, spec, 0.5, "")
+	r, err := s.resolve(matrixSpec(t, "Duplexity", spec.Name, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := s.campaignCell(&r).Key
 	served, err := s.ServedKey(CellSpec{Kind: KindMatrix, Design: "Duplexity", Workload: spec.Name, Load: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -119,14 +141,19 @@ func TestServedKeyMatchesCLI(t *testing.T) {
 	if served != cli {
 		t.Errorf("served key %+v != CLI key %+v", served, cli)
 	}
+	if want := s.cellKey(KindMatrix, core.DesignDuplexity, spec, 0.5, ""); cli != want {
+		t.Errorf("CLI key %+v != figure key %+v", cli, want)
+	}
 	if served.Digest() != cli.Digest() {
 		t.Error("digests differ")
 	}
 }
 
-// TestRunServedMatchesCLIEntry: serving a cell writes a cache entry
-// whose digest and result bytes are identical to a CLI campaign run of
-// the same cell — the serve layer adds scheduling, never semantics.
+// TestRunServedMatchesCLIEntry: serving a cell (RunResolved) writes a
+// cache entry whose digest and result bytes are identical to a CLI
+// campaign batch (campaign.Run) of the same cell, and the batch path's
+// decoded cell reports exactly what the served path decodes — the serve
+// layer adds scheduling, never semantics.
 func TestRunServedMatchesCLIEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation cell")
@@ -139,11 +166,9 @@ func TestRunServedMatchesCLIEntry(t *testing.T) {
 	if cli.Err() != nil {
 		t.Fatal(cli.Err())
 	}
-	key := cli.cellKey("matrix", core.DesignBaseline, spec, load, "")
-	if _, err := campaign.Run(cli.eng, []campaign.Task[cell]{{
-		Key: key,
-		Run: func() (cell, error) { return cli.runCell(core.DesignBaseline, spec, load) },
-	}}); err != nil {
+	key := cli.cellKey(KindMatrix, core.DesignBaseline, spec, load, "")
+	batch, err := runSpecs[cell](cli, []CellSpec{matrixSpec(t, "Baseline", spec.Name, load)})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,5 +213,8 @@ func TestRunServedMatchesCLIEntry(t *testing.T) {
 	}
 	if res2.Cell == nil || *res2.Cell != *res.Cell {
 		t.Errorf("warm result differs: %+v vs %+v", res2.Cell, res.Cell)
+	}
+	if *batch[0].report() != *res.Cell {
+		t.Errorf("batch decode differs from served decode:\nCLI   %+v\nserve %+v", *batch[0].report(), *res.Cell)
 	}
 }

@@ -1,10 +1,8 @@
 package expt
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"duplexity/internal/campaign"
 	"duplexity/internal/core"
 	"duplexity/internal/idle"
 	"duplexity/internal/power"
@@ -182,62 +180,27 @@ func scaledInt(scale float64, full, floor int) int {
 	return v
 }
 
-// energyTwoPhase builds the two-phase decomposition of one energyprop
-// cell: phase-1 is the shared slowdown micro-sim pair, phase-2 the
-// queueing + power stage.
-func (s *Suite) energyTwoPhase(design core.Design, spec *workload.Spec, govName string, load float64) *campaign.TwoPhase {
-	return &campaign.TwoPhase{
-		Micro: s.slowMicros(design, spec),
-		Queue: func(micro []json.RawMessage) (json.RawMessage, error) {
-			if _, ok := idle.ByName(govName); !ok {
-				return nil, fmt.Errorf("expt: unknown idle governor %q", govName)
-			}
-			slow, err := slowFromMicros(design, micro)
-			if err != nil {
-				return nil, err
-			}
-			c, err := s.queueEnergyCell(design, spec, govName, load, slow)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		},
-	}
-}
-
-// energyTasks enumerates the canonical sweep in (combo, workload, load)
-// order. The slowdown micro-sims resolve once per (design, workload)
-// however many loads and governors fan out from them.
-func (s *Suite) energyTasks() []campaign.Task[energyCell] {
-	var tasks []campaign.Task[energyCell]
-	for _, combo := range EnergyCombos() {
-		for _, spec := range suiteSpecs() {
-			for _, load := range EnergyLoads {
-				tasks = append(tasks, campaign.Task[energyCell]{
-					Key:      s.cellKey(KindEnergyProp, combo.Design, spec, load, combo.Governor),
-					TwoPhase: s.energyTwoPhase(combo.Design, spec, combo.Governor, load),
-				})
-			}
-		}
-	}
-	return tasks
-}
-
 // EnergyCells runs (or returns the memoized) energy-proportionality
-// campaign. The slowdown dependencies resolve through the campaign
-// engine's micro-sim layer — cache-keyed identically to the Figure 5
-// slowdown cells, so warm caches written before the two-phase split
-// still answer them.
+// campaign: the canonical sweep in (combo, workload, load) order. The
+// slowdown micro-sims resolve once per (design, workload) through the
+// campaign engine's micro-sim layer, however many loads and governors
+// fan out from them, cache-keyed identically to the Figure 5 slowdown
+// cells.
 func (s *Suite) EnergyCells() ([]energyCell, error) {
 	if s.energyRun {
 		return s.energy, s.energyErr
 	}
 	s.energyRun = true
-	if s.engErr != nil {
-		s.energyErr = s.engErr
-		return nil, s.energyErr
+	var specs []CellSpec
+	for _, combo := range EnergyCombos() {
+		for _, spec := range suiteSpecs() {
+			for _, load := range EnergyLoads {
+				specs = append(specs, CellSpec{Kind: KindEnergyProp, Design: combo.Design.String(),
+					Workload: spec.Name, Load: load, Governor: combo.Governor})
+			}
+		}
 	}
-	s.energy, s.energyErr = campaign.Run(s.eng, s.energyTasks())
+	s.energy, s.energyErr = runSpecs[energyCell](s, specs)
 	return s.energy, s.energyErr
 }
 

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 
-	"duplexity/internal/campaign"
 	"duplexity/internal/core"
 	"duplexity/internal/metrics"
 	"duplexity/internal/netmodel"
@@ -186,13 +185,10 @@ func (s *Suite) tailTable(title string, notes []string, p99 func(d core.Design, 
 	return t, nil
 }
 
-// tailCellLookup runs a batch of tail tasks through the campaign
+// tailCellLookup runs a batch of tail cells through the campaign
 // engine and returns a lookup keyed on the cell's full coordinates.
-func (s *Suite) tailCellLookup(tasks []campaign.Task[tailCell]) (func(d core.Design, spec *workload.Spec, load float64) (float64, error), error) {
-	if s.engErr != nil {
-		return nil, s.engErr
-	}
-	cells, err := campaign.Run(s.eng, tasks)
+func (s *Suite) tailCellLookup(specs []CellSpec) (func(d core.Design, spec *workload.Spec, load float64) (float64, error), error) {
+	cells, err := runSpecs[tailCell](s, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -216,13 +212,11 @@ var fig5dNotes = []string{
 
 // Fig5d regenerates Figure 5(d): 99th-percentile tail latency of the
 // microservice, normalized to Baseline, at equal offered load. The
-// queueing stage resolves as two-phase tail cells: each design×workload
-// slowdown micro-sim simulates once (or hits a warm cache, including
-// caches written before the split) and every load reuses it, and the
-// queueing results themselves are cached — previously they were
-// recomputed inline on every invocation.
+// queueing stage resolves as tail cells: each design×workload slowdown
+// micro-sim simulates once (or hits a warm cache) and every load reuses
+// it, and the queueing results themselves are cached.
 func (s *Suite) Fig5d() (*Table, error) {
-	lookup, err := s.tailCellLookup(s.tailMatrixTasks())
+	lookup, err := s.tailCellLookup(tailSpecs(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -232,8 +226,8 @@ func (s *Suite) Fig5d() (*Table, error) {
 // Fig5e regenerates Figure 5(e): iso-throughput 99th-percentile tail
 // latency — load scaled per design in proportion to its performance
 // density, normalized to Baseline. The density scaling comes from the
-// open-loop matrix campaign; the queueing stage resolves as two-phase
-// tail cells keyed on the scaled arrival rate. Baseline's scaled rate
+// open-loop matrix campaign; the queueing stage resolves as tail cells
+// keyed on the scaled arrival rate. Baseline's scaled rate
 // is exactly the nominal one (dd/dBase is exactly 1.0 when dd == dBase),
 // so its cells share digests — and therefore cache entries — with
 // Figure 5(d).
@@ -267,15 +261,7 @@ func (s *Suite) Fig5e() (*Table, error) {
 	notes := []string{
 		"arrival rate scaled per design by its performance density (equal cost comparison)",
 	}
-	var tasks []campaign.Task[tailCell]
-	for _, spec := range suiteSpecs() {
-		for _, load := range Loads {
-			for _, d := range core.AllDesigns {
-				tasks = append(tasks, s.tailTask(d, spec, load, isoLambda(d, spec, load)))
-			}
-		}
-	}
-	lookup, err := s.tailCellLookup(tasks)
+	lookup, err := s.tailCellLookup(tailSpecs(isoLambda))
 	if err != nil {
 		return nil, err
 	}

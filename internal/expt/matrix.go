@@ -127,44 +127,29 @@ func (s *Suite) runCell(design core.Design, spec *workload.Spec, load float64) (
 	return c, nil
 }
 
-// matrixTasks enumerates the full design × workload × load campaign in
-// canonical (paper) order.
-func (s *Suite) matrixTasks() []campaign.Task[cell] {
-	var tasks []campaign.Task[cell]
-	for _, design := range core.AllDesigns {
-		for _, spec := range suiteSpecs() {
-			for _, load := range Loads {
-				design, spec, load := design, spec, load
-				tasks = append(tasks, campaign.Task[cell]{
-					Key: s.cellKey("matrix", design, spec, load, ""),
-					Run: func() (cell, error) { return s.runCell(design, spec, load) },
-				})
-			}
-		}
-	}
-	return tasks
-}
-
-// Matrix runs (or returns the memoized) full campaign through the
-// campaign engine: cells fan out across the worker pool, cached cells
-// are decoded instead of simulated, and completions are journaled so an
-// interrupted campaign resumes where it left off.
+// Matrix runs (or returns the memoized) full design × workload × load
+// campaign in canonical (paper) order — the cells a default matrix
+// CampaignSpec expands to — through the campaign engine: cells fan out
+// across the worker pool, cached cells are decoded instead of
+// simulated, and completions are journaled so an interrupted campaign
+// resumes where it left off.
 func (s *Suite) Matrix() ([]cell, error) {
 	if s.matrixRun {
 		return s.matrix, s.matrixErr
 	}
 	s.matrixRun = true
-	if s.engErr != nil {
-		s.matrixErr = s.engErr
-		return nil, s.matrixErr
+	specs, err := CampaignSpec{Kind: CampaignMatrix}.Expand()
+	if err != nil {
+		s.matrixErr = err
+		return nil, err
 	}
-	s.matrix, s.matrixErr = campaign.Run(s.eng, s.matrixTasks())
+	s.matrix, s.matrixErr = runSpecs[cell](s, specs)
 	return s.matrix, s.matrixErr
 }
 
 // freqAdjSlowdown converts raw closed-loop cycles-per-request for a
 // design and the baseline into the frequency-adjusted service-time
-// inflation. ServiceSlowdowns and the two-phase queue closures, which
+// inflation. ServiceSlowdowns and the queueing-layer cells, which
 // recompute the value from cached phase-1 bytes, both funnel through
 // this one expression, so the float arithmetic (and therefore cached
 // cell bytes) is identical on both.

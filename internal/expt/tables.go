@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 
-	"duplexity/internal/campaign"
 	"duplexity/internal/core"
 	"duplexity/internal/power"
 )
@@ -63,20 +62,14 @@ func (s *Suite) Workloads() *Table {
 // The 35 closed-loop measurements are the slowdown cells that tail and
 // energyprop cells resolve as micro-sims, run on the campaign engine.
 func (s *Suite) ServiceSlowdowns() (*Table, error) {
-	if s.engErr != nil {
-		return nil, s.engErr
-	}
 	specs := suiteSpecs()
-	var tasks []campaign.Task[float64]
+	var cells []CellSpec
 	for _, spec := range specs {
 		for _, design := range core.AllDesigns {
-			tasks = append(tasks, campaign.Task[float64]{
-				Key: s.cellKey(KindSlowdown, design, spec, 0, ""),
-				Run: func() (float64, error) { return s.measureSlowdown(design, spec) },
-			})
+			cells = append(cells, CellSpec{Kind: KindSlowdown, Design: design.String(), Workload: spec.Name})
 		}
 	}
-	svc, err := campaign.Run(s.eng, tasks)
+	svc, err := runSpecs[float64](s, cells)
 	if err != nil {
 		return nil, err
 	}

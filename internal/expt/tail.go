@@ -12,12 +12,9 @@ import (
 )
 
 // The tail cell family content-addresses the Figure 5(d)/5(e) queueing
-// stage, which before the two-phase split was recomputed inline on
-// every CLI invocation — ~240 BigHouse-style simulations per run even
-// with a fully warm cache. A tail cell is the canonical two-phase
-// shape: its phase-1 dependencies are the closed-loop "slowdown"
-// micro-sims (cache-keyed identically to the slowdown cells of
-// ServiceSlowdowns, so warm pre-split caches already hold them), and its
+// stage. A tail cell is the canonical queueing-layer shape: its phase-1
+// dependencies are the closed-loop "slowdown" micro-sims (cache-keyed
+// identically to the slowdown cells of ServiceSlowdowns), and its
 // phase-2 result is the queueing simulation over the derived slowdown.
 
 // tailCell is one cached queueing-stage point. Fields are exported for
@@ -43,23 +40,19 @@ func (s *Suite) tailKey(design core.Design, spec *workload.Spec, load, lambdaQPS
 // slowMicros enumerates the phase-1 micro-sim dependencies of a cell
 // whose queueing stage needs the design's frequency-adjusted slowdown:
 // the design's own closed-loop measurement and the baseline's, in that
-// order. The baseline design needs neither: its slowdown is 1.0 by
-// definition.
+// order, each the slowdown cell campaignCell builds for that design.
+// The baseline design needs neither: its slowdown is 1.0 by definition.
 func (s *Suite) slowMicros(design core.Design, spec *workload.Spec) []campaign.MicroTask {
 	if design == core.DesignBaseline {
 		return nil
 	}
 	mk := func(d core.Design) campaign.MicroTask {
-		return campaign.MicroTask{
-			Key: s.cellKey(KindSlowdown, d, spec, 0, ""),
-			Run: func() (json.RawMessage, error) {
-				v, err := s.measureSlowdown(d, spec)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(v)
-			},
-		}
+		c := s.campaignCell(&Resolved{
+			Spec:   CellSpec{Kind: KindSlowdown, Design: d.String(), Workload: spec.Name},
+			Key:    s.cellKey(KindSlowdown, d, spec, 0, ""),
+			design: d, wl: spec,
+		})
+		return campaign.MicroTask{Key: c.Key, Run: func() (json.RawMessage, error) { return c.Compute(nil) }}
 	}
 	return []campaign.MicroTask{mk(design), mk(core.DesignBaseline)}
 }
@@ -130,47 +123,25 @@ func (s *Suite) queueTail(design core.Design, spec *workload.Spec, load, lambdaQ
 	}, nil
 }
 
-// tailTwoPhase builds the two-phase decomposition of one tail cell.
-func (s *Suite) tailTwoPhase(design core.Design, spec *workload.Spec, load, lambdaQPS float64) *campaign.TwoPhase {
-	return &campaign.TwoPhase{
-		Micro: s.slowMicros(design, spec),
-		Queue: func(micro []json.RawMessage) (json.RawMessage, error) {
-			slow, err := slowFromMicros(design, micro)
-			if err != nil {
-				return nil, err
-			}
-			c, err := s.queueTail(design, spec, load, lambdaQPS, slow)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		},
-	}
-}
-
-// tailTask builds one tail campaign task.
-func (s *Suite) tailTask(design core.Design, spec *workload.Spec, load, lambdaQPS float64) campaign.Task[tailCell] {
-	return campaign.Task[tailCell]{
-		Key:      s.tailKey(design, spec, load, lambdaQPS),
-		TwoPhase: s.tailTwoPhase(design, spec, load, lambdaQPS),
-	}
-}
-
-// tailMatrixTasks enumerates the 105-cell tail campaign — every design
-// × workload × Figure 5 load at the workload's nominal arrival rate —
-// in canonical (workload, load, design) order so streamed results line
-// up with Figure 5(d) rows.
-func (s *Suite) tailMatrixTasks() []campaign.Task[tailCell] {
-	var tasks []campaign.Task[tailCell]
+// tailSpecs enumerates the 105-cell tail campaign — every design ×
+// workload × Figure 5 load — in canonical (workload, load, design)
+// order so results line up with Figure 5(d) rows. lambda gives each
+// cell's arrival rate; nil leaves it 0, the workload's nominal rate at
+// the load.
+func tailSpecs(lambda func(d core.Design, spec *workload.Spec, load float64) float64) []CellSpec {
+	var specs []CellSpec
 	for _, spec := range suiteSpecs() {
 		for _, load := range Loads {
-			lambda := spec.QPSAtLoad(load)
-			for _, design := range core.AllDesigns {
-				tasks = append(tasks, s.tailTask(design, spec, load, lambda))
+			for _, d := range core.AllDesigns {
+				cs := CellSpec{Kind: KindTail, Design: d.String(), Workload: spec.Name, Load: load}
+				if lambda != nil {
+					cs.Lambda = lambda(d, spec, load)
+				}
+				specs = append(specs, cs)
 			}
 		}
 	}
-	return tasks
+	return specs
 }
 
 // TailMatrix runs the 105-cell tail campaign and renders the absolute
@@ -178,10 +149,7 @@ func (s *Suite) tailMatrixTasks() []campaign.Task[tailCell] {
 // exactly one closed-loop micro-sim per design×workload (35) however
 // many loads fan out from it.
 func (s *Suite) TailMatrix() (*Table, error) {
-	if s.engErr != nil {
-		return nil, s.engErr
-	}
-	cells, err := campaign.Run(s.eng, s.tailMatrixTasks())
+	cells, err := runSpecs[tailCell](s, tailSpecs(nil))
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"duplexity/internal/campaign"
 	"duplexity/internal/core"
 	"duplexity/internal/idle"
 )
@@ -178,18 +179,30 @@ func TestTailsCampaignExpand(t *testing.T) {
 	}
 }
 
-// The fleet shard digest of a two-phase cell is its first phase-1
+// The fleet shard digest of a queueing-layer cell is its first phase-1
 // digest — the design's own slowdown cell — so every load fanned out
-// from one micro-sim rendezvous-ranks to the same worker.
+// from one micro-sim rendezvous-ranks to the same worker. A Baseline
+// tail cell has no micro-sims but is still a queueing-layer cell.
 func TestTwoPhaseShardDigestIsPhase1(t *testing.T) {
 	s := NewSuite(Options{Scale: 0.01, Seed: 1})
 	spec := workloadByName("RSC")
-	tp := s.tailTwoPhase(core.DesignDuplexity, spec, 0.5, spec.QPSAtLoad(0.5))
-	if len(tp.Micro) != 2 {
-		t.Fatalf("tail cell has %d micros, want 2", len(tp.Micro))
+	cellOf := func(design string) campaign.Cell {
+		t.Helper()
+		r, err := s.resolve(CellSpec{Kind: KindTail, Design: design, Workload: "RSC", Load: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.campaignCell(&r)
+	}
+	c := cellOf("Duplexity")
+	if len(c.Micro) != 2 || c.Layer != campaign.LayerQueueing {
+		t.Fatalf("tail cell has %d micros in layer %q, want 2 in %q", len(c.Micro), c.Layer, campaign.LayerQueueing)
 	}
 	wantShard := s.cellKey(KindSlowdown, core.DesignDuplexity, spec, 0, "").Digest()
-	if got := tp.Micro[0].Key.Digest(); got != wantShard {
+	if got := c.Micro[0].Key.Digest(); got != wantShard {
 		t.Fatalf("first micro digest %s, want the design's slowdown cell %s", got, wantShard)
+	}
+	if base := cellOf("Baseline"); len(base.Micro) != 0 || base.Layer != campaign.LayerQueueing {
+		t.Fatalf("Baseline tail cell has %d micros in layer %q, want none in %q", len(base.Micro), base.Layer, campaign.LayerQueueing)
 	}
 }

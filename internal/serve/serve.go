@@ -571,18 +571,19 @@ func (s *Server) runFlight(w *work) {
 	s.fmu.Lock()
 	delete(s.flights, f.digest)
 	s.fmu.Unlock()
-	f.res, f.err = res, err
-	close(f.done)
-
+	// Count before waking the waiters, so a client holding its response
+	// finds the cell counted in /v1/statz.
 	if err != nil {
 		s.m.failed.Add(1)
-		return
+	} else {
+		s.m.completed.Add(1)
+		if res.Cached {
+			s.m.cacheHits.Add(1)
+		}
+		s.m.observeLatency(uint64(elapsed.Microseconds()))
 	}
-	s.m.completed.Add(1)
-	if res.Cached {
-		s.m.cacheHits.Add(1)
-	}
-	s.m.observeLatency(uint64(elapsed.Microseconds()))
+	f.res, f.err = res, err
+	close(f.done)
 }
 
 // safeRun is the panic-isolation boundary: a panicking cell becomes a

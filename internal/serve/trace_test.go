@@ -219,7 +219,7 @@ func TestMetricszPrometheusFormat(t *testing.T) {
 // a non-tracing daemon: digests, result bytes, and cache entries must
 // match exactly, and the non-tracing daemon reports tracez disabled.
 func TestTracingOffByteIdentical(t *testing.T) {
-	runOne := func(disable bool) (ServedResultJSON []byte, cacheEntry []byte, url string) {
+	serveOnce := func(disable bool) (ServedResultJSON []byte, cacheEntry []byte, url string) {
 		dir := t.TempDir()
 		suite := expt.NewSuite(expt.Options{Scale: 0.01, Seed: 7, Workers: 1, CacheDir: dir})
 		_, ts := newTestServer(t, Config{Suite: suite, Workers: 1, QueueDepth: 8, DisableTracing: disable}, nil)
@@ -238,8 +238,8 @@ func TestTracingOffByteIdentical(t *testing.T) {
 		return body, raw, ts.URL
 	}
 
-	tracedBody, tracedEntry, _ := runOne(false)
-	plainBody, plainEntry, plainURL := runOne(true)
+	tracedBody, tracedEntry, _ := serveOnce(false)
+	plainBody, plainEntry, plainURL := serveOnce(true)
 
 	// Wall times are measurements; mask them field-by-field.
 	mask := func(b []byte) map[string]any {

@@ -116,22 +116,3 @@ func quantileRank(n int, q float64) (i int, frac float64, interp bool) {
 
 // lerp interpolates linearly between adjacent order statistics a and b.
 func lerp(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
-
-// MeanCI returns the sample mean and the half-width of its normal-
-// approximation confidence interval at the given z value (1.96 for 95%).
-func (s *Summary) MeanCI(z float64) (mean, halfWidth float64) {
-	if s.n < 2 {
-		return s.mean, math.Inf(1)
-	}
-	return s.mean, z * s.StdDev() / math.Sqrt(float64(s.n))
-}
-
-// RelativeErrorBelow reports whether the confidence interval half-width is
-// below frac of the mean — the paper's stopping rule is 95% CI within 5%.
-func (s *Summary) RelativeErrorBelow(z, frac float64) bool {
-	mean, hw := s.MeanCI(z)
-	if mean == 0 {
-		return false
-	}
-	return hw/math.Abs(mean) < frac
-}

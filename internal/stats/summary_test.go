@@ -32,10 +32,6 @@ func TestSummaryEmpty(t *testing.T) {
 	if s.Mean() != 0 || s.Variance() != 0 {
 		t.Fatal("empty summary should report zeros")
 	}
-	_, hw := s.MeanCI(1.96)
-	if !math.IsInf(hw, 1) {
-		t.Fatal("CI of empty summary should be infinite")
-	}
 }
 
 // Property: merging two summaries equals summarizing the concatenation.
@@ -120,26 +116,5 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRelativeErrorBelow(t *testing.T) {
-	var s Summary
-	r := NewRNG(20)
-	for i := 0; i < 10; i++ {
-		s.Add(10 + r.NormFloat64())
-	}
-	// With 10k samples of stddev 1 around mean 10, the 95% CI is tiny.
-	for i := 0; i < 10000; i++ {
-		s.Add(10 + r.NormFloat64())
-	}
-	if !s.RelativeErrorBelow(1.96, 0.05) {
-		t.Fatal("tight distribution should satisfy 5% relative error")
-	}
-	var loose Summary
-	loose.Add(1)
-	loose.Add(100)
-	if loose.RelativeErrorBelow(1.96, 0.05) {
-		t.Fatal("two wild samples should not satisfy 5% relative error")
 	}
 }

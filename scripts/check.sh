@@ -8,7 +8,8 @@
 #   5. go test -race on the telemetry, core, campaign, expt, serve,
 #      and fleet packages plus the root e2e tests
 #   6. go test on cmd/duplexityd: the daemon as a real process
-#   7. a telemetry-overhead guard benchmark
+#   7. short fixed-time runs of every fuzz target
+#   8. a telemetry-overhead guard benchmark
 #
 # The guard compares BenchmarkDyadCycleRate (nil sink: every instrumented
 # site takes its one-nil-check fast path) against BenchmarkDyadTelemetry
@@ -79,6 +80,16 @@ echo "== go test (duplexityd process) =="
 # Not raced: the concurrency it reaches runs raced in the serve,
 # jobstore and fleet suites above.
 go test -timeout 10m ./cmd/duplexityd
+
+echo "== fuzz (10 s per target) =="
+# Each target runs for a fixed time on top of its seed corpus
+# (testdata/fuzz/<target>); a failing input is written there. Key.Digest
+# against its reference encoding, and any CellSpec at the serving
+# boundary. -fuzzminimizetime bounds the shrinking of each new
+# interesting input, which on the expt binary can otherwise take the
+# whole run.
+go test -run '^$' -fuzz '^FuzzKeyDigest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/campaign
+go test -run '^$' -fuzz '^FuzzResolve$' -fuzztime 10s -fuzzminimizetime 1s ./internal/expt
 
 if [[ "${CHECK_SKIP_BENCH:-0}" == "1" ]]; then
     echo "== telemetry overhead guard skipped (CHECK_SKIP_BENCH=1) =="
