@@ -3,20 +3,9 @@
 //
 // Usage:
 //
-//	duplexityd serve   [-addr a] [-scale f] [-seed n] [-workers n]
-//	                   [-cachedir dir] [-resume] [-queue n] [-rps f]
-//	                   [-burst n] [-timeout d] [-drain-timeout d]
-//	                   [-tracing] [-trace-depth n] [-job-ttl d]
-//	                   [-tenant-inflight n] [-tenant-jobs n]
-//	                   [-tenant-weights a=2,b=1] [-join url] [-advertise url]
-//	duplexityd coordinate [-fleet url1,url2,...] [-addr a] [-scale f]
-//	                   [-seed n] [-workers n] [-cachedir dir] [-resume]
-//	                   [-queue n] [-rps f] [-burst n] [-timeout d]
-//	                   [-drain-timeout d] [-hedge-after d]
-//	                   [-heartbeat d] [-evict-after d]
-//	                   [-tracing] [-trace-depth n] [-job-ttl d]
-//	                   [-tenant-inflight n] [-tenant-jobs n]
-//	                   [-tenant-weights a=2,b=1]
+//	duplexityd serve   [daemon flags] [-join url] [-advertise url]
+//	duplexityd coordinate [daemon flags] [-fleet url1,url2,...]
+//	                   [-hedge-after d] [-heartbeat d] [-evict-after d]
 //	duplexityd submit  [-addr a] [-kind k] [-design d] [-workload w]
 //	                   [-governor g] [-load f] [-lambda f] [-timeout-ms n]
 //	duplexityd jobs    [-addr a] [-submit] [-kind k] [-designs l]
@@ -30,6 +19,12 @@
 //	duplexityd loadgen [-addr a] [-conc n] [-requests n] [-qps f]
 //	                   [-duration d] [-spread n] [-design d] [-workload w]
 //	                   [-tenant a,b] [-lane l]
+//
+// serve and coordinate share the daemon flags: [-addr a] [-scale f]
+// [-seed n] [-workers n] [-cachedir dir] [-resume] [-queue n] [-rps f]
+// [-burst n] [-timeout d] [-drain-timeout d] [-tracing] [-trace-depth n]
+// [-job-ttl d] [-tenant-inflight n] [-tenant-jobs n]
+// [-tenant-weights a=2,b=1] [-interactive-deadline d].
 //
 // serve exposes the campaign engine over HTTP: POST /v1/cells for
 // synchronous single cells, POST /v1/jobs + GET /v1/jobs/{id}/results
@@ -106,6 +101,7 @@ import (
 	"syscall"
 	"time"
 
+	"duplexity/internal/campaign"
 	"duplexity/internal/core"
 	"duplexity/internal/expt"
 	"duplexity/internal/fleet"
@@ -173,84 +169,81 @@ run "duplexityd <command> -h" for per-command flags
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8077", "listen address")
-	scale := fs.Float64("scale", 1.0, "simulation fidelity (1.0 = paper scale)")
-	seed := fs.Uint64("seed", 1, "campaign seed")
-	workers := fs.Int("workers", 0, "simulation pool width (0 = one per CPU)")
-	cacheDir := fs.String("cachedir", "", "content-addressed result cache directory")
-	resume := fs.Bool("resume", false, "use the default cache (.duplexity-cache) when -cachedir is unset")
-	queue := fs.Int("queue", 0, "submission queue depth (0 = default 64)")
-	rps := fs.Float64("rps", 0, "token-bucket rate limit on POST /v1/cells (0 = unlimited)")
-	burst := fs.Int("burst", 0, "token-bucket burst (0 = derived from -rps)")
-	timeout := fs.Duration("timeout", 10*time.Minute, "default per-cell deadline")
-	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "how long a drain waits for in-flight cells")
-	tracing := fs.Bool("tracing", true, "record per-cell stage traces (GET /v1/tracez)")
-	traceDepth := fs.Int("trace-depth", 0, "recent traces kept in the tracez ring (0 = default 256)")
-	jobFlags := addJobFlags(fs)
+	d := addDaemonFlags(fs)
 	joinURL := fs.String("join", "", "coordinator base URL to join as a dynamic fleet worker")
 	advertise := fs.String("advertise", "", "base URL this worker advertises when joining (default http://<addr>)")
-	fs.Parse(args)
-	if *resume && *cacheDir == "" {
-		*cacheDir = ".duplexity-cache"
-	}
-
-	suite := expt.NewSuite(expt.Options{Scale: *scale, Seed: *seed, Workers: *workers, CacheDir: *cacheDir})
-	cfg := serve.Config{
-		Suite: suite, Workers: *workers, QueueDepth: *queue,
-		RatePerSec: *rps, Burst: *burst, DefaultTimeout: *timeout,
-		DisableTracing: !*tracing, TraceDepth: *traceDepth,
-	}
-	if err := jobFlags.apply(&cfg); err != nil {
-		return err
-	}
-	srv, err := serve.New(cfg)
+	d.parse(fs, args)
+	srv, suite, err := d.server(*d.scale, *d.seed, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "duplexityd: jobstore: resumed %d incomplete job(s)\n", srv.Resumed())
 
 	hooks := &serveHooks{}
 	if *joinURL != "" {
+		coordinator, err := fleet.NormalizeURL(*joinURL)
+		if err != nil {
+			return err
+		}
+		self := ""
+		if *advertise != "" {
+			if self, err = fleet.NormalizeURL(*advertise); err != nil {
+				return err
+			}
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		hooks.onReady = func(bound net.Addr) {
-			self := *advertise
-			if self == "" {
-				self = "http://" + bound.String()
+			me := self
+			if me == "" {
+				me = "http://" + bound.String()
 			}
-			pw := *workers
+			pw := *d.workers
 			if pw <= 0 {
 				pw = runtime.NumCPU()
 			}
-			go joinLoop(ctx, normalizeURL(*joinURL), normalizeURL(self), pw, suite.World())
+			go joinLoop(ctx, coordinator, me, pw, suite.World())
 		}
 		hooks.onStop = func() {
 			cancel()
-			self := *advertise
 			if self == "" {
 				return // bound address already gone; eviction will reap us
 			}
-			leaveFleet(normalizeURL(*joinURL), normalizeURL(self))
+			leaveFleet(coordinator, self)
 		}
 	}
 
-	banner := fmt.Sprintf("serving on %%s (scale=%g seed=%d cachedir=%q)", *scale, *seed, *cacheDir)
-	return serveUntilSignal(srv, srv.Handler(), *addr, banner, *drainTimeout, hooks)
+	w := suite.World()
+	banner := fmt.Sprintf("serving on %%s (scale=%g seed=%d cachedir=%q)", w.Scale, w.Seed, *d.cacheDir)
+	return serveUntilSignal(srv, srv.Handler(), *d.addr, banner, *d.drainTimeout, hooks)
 }
 
-// jobFlagSet is the multi-tenant job store knobs shared by serve and
-// coordinate.
-type jobFlagSet struct {
-	ttl            *time.Duration
-	tenantInflight *int
-	tenantJobs     *int
-	tenantWeights  *string
-	deadline       *time.Duration
+// daemonFlags are the flags serve and coordinate share: the listen
+// address, the suite's world and cache, and the serve.Server knobs.
+type daemonFlags struct {
+	addr, cacheDir, tenantWeights                                 *string
+	scale, rps                                                    *float64
+	seed                                                          *uint64
+	workers, queue, burst, traceDepth, tenantInflight, tenantJobs *int
+	timeout, drainTimeout, jobTTL, deadline                       *time.Duration
+	resume, tracing                                               *bool
 }
 
-func addJobFlags(fs *flag.FlagSet) *jobFlagSet {
-	return &jobFlagSet{
-		ttl:            fs.Duration("job-ttl", 0, "how long finished/abandoned jobs are retained (0 = default 24h)"),
+func addDaemonFlags(fs *flag.FlagSet) *daemonFlags {
+	return &daemonFlags{
+		addr:           fs.String("addr", "127.0.0.1:8077", "listen address"),
+		scale:          fs.Float64("scale", 0, "simulation fidelity (0 = 1.0, paper scale; coordinate: 0 adopts the workers')"),
+		seed:           fs.Uint64("seed", 0, "campaign seed (0 = 1; coordinate: 0 adopts the workers')"),
+		workers:        fs.Int("workers", 0, "simulation pool width, on a coordinator the engine width feeding the fleet (0 = one per CPU)"),
+		cacheDir:       fs.String("cachedir", "", "content-addressed result cache directory"),
+		resume:         fs.Bool("resume", false, "use the default cache (.duplexity-cache) when -cachedir is unset"),
+		queue:          fs.Int("queue", 0, "submission queue depth (0 = default 64)"),
+		rps:            fs.Float64("rps", 0, "token-bucket rate limit on POST /v1/cells (0 = unlimited)"),
+		burst:          fs.Int("burst", 0, "token-bucket burst (0 = derived from -rps)"),
+		timeout:        fs.Duration("timeout", 10*time.Minute, "default per-cell deadline"),
+		drainTimeout:   fs.Duration("drain-timeout", 2*time.Minute, "how long a drain waits for in-flight cells"),
+		tracing:        fs.Bool("tracing", true, "record per-cell stage traces (GET /v1/tracez)"),
+		traceDepth:     fs.Int("trace-depth", 0, "recent traces kept in the tracez ring (0 = default 256)"),
+		jobTTL:         fs.Duration("job-ttl", 0, "how long finished/abandoned jobs are retained (0 = default 24h)"),
 		tenantInflight: fs.Int("tenant-inflight", 0, "per-tenant max in-flight cells (0 = default 4x pool width)"),
 		tenantJobs:     fs.Int("tenant-jobs", 0, "per-tenant max queued+running jobs (0 = default 16)"),
 		tenantWeights:  fs.String("tenant-weights", "", "fair-share weights, e.g. prod=4,batch=1 (default 1 each)"),
@@ -258,37 +251,48 @@ func addJobFlags(fs *flag.FlagSet) *jobFlagSet {
 	}
 }
 
-func (j *jobFlagSet) apply(cfg *serve.Config) error {
-	cfg.JobTTL = *j.ttl
-	cfg.TenantInflight = *j.tenantInflight
-	cfg.TenantQueuedJobs = *j.tenantJobs
-	cfg.InteractiveDeadline = *j.deadline
-	if *j.tenantWeights == "" {
-		return nil
+// parse parses args (fs exits on a bad flag) and applies -resume.
+func (d *daemonFlags) parse(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if *d.resume && *d.cacheDir == "" {
+		*d.cacheDir = ".duplexity-cache"
 	}
-	cfg.TenantWeights = make(map[string]float64)
-	for _, pair := range strings.Split(*j.tenantWeights, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return fmt.Errorf("parsing -tenant-weights: %q is not tenant=weight", pair)
-		}
-		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || w <= 0 {
-			return fmt.Errorf("parsing -tenant-weights: weight %q must be a positive number", val)
-		}
-		cfg.TenantWeights[name] = w
-	}
-	return nil
 }
 
-// normalizeURL gives bare host:port flags a scheme and strips trailing
-// slashes so worker identities compare equal across join/leave/evict.
-func normalizeURL(u string) string {
-	u = strings.TrimSuffix(strings.TrimSpace(u), "/")
-	if u != "" && !strings.Contains(u, "://") {
-		u = "http://" + u
+// server builds the suite for the (scale, seed) world, resolving its
+// cells through remote (nil: the local simulation pool), and the
+// serve.Server in front of it.
+func (d *daemonFlags) server(scale float64, seed uint64, remote campaign.Remote) (*serve.Server, *expt.Suite, error) {
+	suite := expt.NewSuite(expt.Options{
+		Scale: scale, Seed: seed, Workers: *d.workers, CacheDir: *d.cacheDir, Remote: remote,
+	})
+	cfg := serve.Config{
+		Suite: suite, Workers: *d.workers, QueueDepth: *d.queue,
+		RatePerSec: *d.rps, Burst: *d.burst, DefaultTimeout: *d.timeout,
+		DisableTracing: !*d.tracing, TraceDepth: *d.traceDepth,
+		JobTTL: *d.jobTTL, TenantInflight: *d.tenantInflight,
+		TenantQueuedJobs: *d.tenantJobs, InteractiveDeadline: *d.deadline,
 	}
-	return u
+	if *d.tenantWeights != "" {
+		cfg.TenantWeights = make(map[string]float64)
+		for _, pair := range strings.Split(*d.tenantWeights, ",") {
+			name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
+			if !ok || name == "" {
+				return nil, nil, fmt.Errorf("parsing -tenant-weights: %q is not tenant=weight", pair)
+			}
+			w, err := strconv.ParseFloat(val, 64)
+			if err != nil || w <= 0 {
+				return nil, nil, fmt.Errorf("parsing -tenant-weights: weight %q must be a positive number", val)
+			}
+			cfg.TenantWeights[name] = w
+		}
+	}
+	srv, err := serve.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(os.Stderr, "duplexityd: jobstore: resumed %d incomplete job(s)\n", srv.Resumed())
+	return srv, suite, nil
 }
 
 // joinLoop announces this worker to a coordinator and heartbeats at the
@@ -419,33 +423,21 @@ func serveUntilSignal(srv *serve.Server, handler http.Handler, addr, banner stri
 
 func cmdCoordinate(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8077", "listen address")
+	d := addDaemonFlags(fs)
 	fleetList := fs.String("fleet", "", "comma-separated worker base URLs, e.g. http://h1:8077,http://h2:8077 (empty = dynamic membership only)")
-	scale := fs.Float64("scale", 0, "world scale the workers must serve (0 = adopt from workers)")
-	seed := fs.Uint64("seed", 0, "world seed the workers must serve (0 = adopt from workers)")
-	workers := fs.Int("workers", 0, "campaign engine width feeding the fleet (0 = one per CPU)")
-	cacheDir := fs.String("cachedir", "", "coordinator-side content-addressed result cache directory")
-	resume := fs.Bool("resume", false, "use the default cache (.duplexity-cache) when -cachedir is unset")
-	queue := fs.Int("queue", 0, "submission queue depth (0 = default 64)")
-	rps := fs.Float64("rps", 0, "token-bucket rate limit on POST /v1/cells (0 = unlimited)")
-	burst := fs.Int("burst", 0, "token-bucket burst (0 = derived from -rps)")
-	timeout := fs.Duration("timeout", 10*time.Minute, "default per-cell deadline")
-	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "how long a drain waits for in-flight cells")
 	hedgeAfter := fs.Duration("hedge-after", 0, "straggler hedge threshold before p99 history accrues (0 = default 2s)")
 	heartbeat := fs.Duration("heartbeat", 0, "dynamic-worker heartbeat interval (0 = default 2s)")
 	evictAfter := fs.Duration("evict-after", 0, "evict a joined worker after this long without a heartbeat (0 = 3x heartbeat)")
-	tracing := fs.Bool("tracing", true, "record per-cell stage traces (GET /v1/tracez)")
-	traceDepth := fs.Int("trace-depth", 0, "recent traces kept in the tracez ring (0 = default 256)")
-	jobFlags := addJobFlags(fs)
-	fs.Parse(args)
-	if *resume && *cacheDir == "" {
-		*cacheDir = ".duplexity-cache"
-	}
-	if *fleetList == "" && (*scale == 0 || *seed == 0) {
+	d.parse(fs, args)
+	if *fleetList == "" && (*d.scale == 0 || *d.seed == 0) {
 		return fmt.Errorf("with an empty -fleet, -scale and -seed must pin the world joining workers are verified against")
 	}
 
-	coord, err := newCoordinator(*fleetList, *scale, *seed, *hedgeAfter, *heartbeat, *evictAfter)
+	o := fleet.Options{HedgeAfter: *hedgeAfter, HeartbeatInterval: *heartbeat, EvictAfter: *evictAfter}
+	if *d.scale != 0 || *d.seed != 0 {
+		o.World = expt.World{Model: core.ModelVersion, Scale: *d.scale, Seed: *d.seed}
+	}
+	coord, err := fleet.Dial(*fleetList, o)
 	if err != nil {
 		return err
 	}
@@ -453,23 +445,10 @@ func cmdCoordinate(args []string) error {
 	fmt.Fprintf(os.Stderr, "duplexityd: fleet registered: %d workers, world model=%s scale=%g seed=%d\n",
 		len(coord.Stats().Workers), world.Model, world.Scale, world.Seed)
 
-	suite := expt.NewSuite(expt.Options{
-		Scale: world.Scale, Seed: world.Seed, Workers: *workers,
-		CacheDir: *cacheDir, Remote: coord,
-	})
-	cfg := serve.Config{
-		Suite: suite, Workers: *workers, QueueDepth: *queue,
-		RatePerSec: *rps, Burst: *burst, DefaultTimeout: *timeout,
-		DisableTracing: !*tracing, TraceDepth: *traceDepth,
-	}
-	if err := jobFlags.apply(&cfg); err != nil {
-		return err
-	}
-	srv, err := serve.New(cfg)
+	srv, _, err := d.server(world.Scale, world.Seed, coord)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "duplexityd: jobstore: resumed %d incomplete job(s)\n", srv.Resumed())
 
 	// Sweep joined workers that stop heartbeating for as long as we serve.
 	memCtx, memCancel := context.WithCancel(context.Background())
@@ -489,42 +468,8 @@ func cmdCoordinate(args []string) error {
 	mux.Handle("/", srv.Handler())
 
 	banner := fmt.Sprintf("coordinating on %%s (scale=%g seed=%d cachedir=%q fleet=%s)",
-		world.Scale, world.Seed, *cacheDir, *fleetList)
-	return serveUntilSignal(srv, mux, *addr, banner, *drainTimeout, nil)
-}
-
-// newCoordinator parses a -fleet worker list (possibly empty — the
-// fleet then grows through /v1/fleet/join), builds the fleet
-// coordinator, and registers it (verifying world identity). A zero
-// scale+seed adopts the workers' world; otherwise the workers must
-// match this binary's model at the given scale and seed.
-func newCoordinator(fleetList string, scale float64, seed uint64, hedgeAfter, heartbeat, evictAfter time.Duration) (*fleet.Coordinator, error) {
-	var urls []string
-	for _, u := range strings.Split(fleetList, ",") {
-		if u = normalizeURL(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	o := fleet.Options{
-		Workers: urls, HedgeAfter: hedgeAfter,
-		HeartbeatInterval: heartbeat, EvictAfter: evictAfter,
-	}
-	if scale != 0 || seed != 0 {
-		o.World = expt.World{Model: core.ModelVersion, Scale: scale, Seed: seed}
-	}
-	coord, err := fleet.New(o)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := coord.Register(ctx); err != nil {
-		return nil, err
-	}
-	if w := coord.World(); w != (expt.World{}) && w.Model != core.ModelVersion {
-		return nil, fmt.Errorf("fleet serves model %q but this binary is %q", w.Model, core.ModelVersion)
-	}
-	return coord, nil
+		world.Scale, world.Seed, *d.cacheDir, *fleetList)
+	return serveUntilSignal(srv, mux, *d.addr, banner, *d.drainTimeout, nil)
 }
 
 func cmdSubmit(args []string) error {
@@ -671,7 +616,14 @@ func cmdJoin(args []string) error {
 	if *coordinator == "" || *workerURL == "" {
 		return fmt.Errorf("join: -coordinator and -worker are required")
 	}
-	coord, self := normalizeURL(*coordinator), normalizeURL(*workerURL)
+	coord, err := fleet.NormalizeURL(*coordinator)
+	if err != nil {
+		return err
+	}
+	self, err := fleet.NormalizeURL(*workerURL)
+	if err != nil {
+		return err
+	}
 
 	// Probe the worker for its world and pool width so the coordinator
 	// can verify identity before dispatching a single cell to it.

@@ -342,6 +342,33 @@ func TestJournalToleratesTornLine(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornLine restarts after a kill mid-append: the
+// next append starts a line of its own, so only the torn fragment is
+// lost.
+func TestJournalAppendAfterTornLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(`{"seq":1,"digest":"d1"}`+"\n"+`{"seq":2,"dig`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal(path)
+	for _, d := range []string{"d3", "d4"} {
+		if err := j.Append(JournalEntry{Digest: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Digest)
+	}
+	if strings.Join(got, ",") != "d1,d3,d4" {
+		t.Fatalf("journal digests = %v, want [d1 d3 d4]", got)
+	}
+}
+
 func TestCorruptCacheEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	var executed atomic.Int64

@@ -94,19 +94,37 @@ func (j *Journal) Append(e JournalEntry) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	f, err := os.OpenFile(j.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("campaign: opening journal: %w", err)
-	}
-	_, werr := f.Write(append(data, '\n'))
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("campaign: appending journal: %w", werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("campaign: closing journal: %w", cerr)
+	if err := AppendLine(j.path, data); err != nil {
+		return fmt.Errorf("campaign: appending journal: %w", err)
 	}
 	return nil
+}
+
+// AppendLine appends line and a newline to the JSON-lines file at path,
+// creating it, with one open/write/close. When a killed writer left the
+// file ending in a torn, unterminated line, a newline goes first: the
+// fragment stays a malformed line of its own, which readers skip,
+// instead of swallowing this one.
+func AppendLine(path string, line []byte) error {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 0, len(line)+2)
+	st, err := f.Stat()
+	if err == nil && st.Size() > 0 {
+		last := make([]byte, 1)
+		if _, err = f.ReadAt(last, st.Size()-1); err == nil && last[0] != '\n' {
+			buf = append(buf, '\n')
+		}
+	}
+	if err == nil {
+		_, err = f.Write(append(append(buf, line...), '\n'))
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadJournal parses a journal file, skipping malformed lines (a line

@@ -11,7 +11,7 @@
 //     "its" cells across campaigns and coordinator restarts.
 //   - Backpressure: per-worker in-flight windows grow additively on
 //     success and halve on 429, honoring the serving layer's
-//     Retry-After — the admission signals from PR 4 become the fleet's
+//     Retry-After, so the workers' admission signals become the fleet's
 //     flow control.
 //   - Hedging: a cell that outlives an adaptive p99-based threshold is
 //     re-dispatched to the next-ranked worker; the first result wins
@@ -20,13 +20,17 @@
 //   - Retry: failed workers are down-marked with exponential backoff
 //     and their cells reshard to the next-ranked worker, so killing a
 //     worker mid-campaign delays cells instead of losing them.
-//   - L1: an in-memory singleflight result cache in front of the
-//     coordinator's disk cache absorbs duplicate submissions without a
-//     disk probe or a dispatch.
 //
-// Workers ship cache-entry-level results (expt.RawCellResult), which
-// the engine writes into the coordinator's cache verbatim — a fleet
-// campaign is byte-identical to a single-node run.
+// The coordinator keeps no results of its own. It runs behind the same
+// layers as any daemon's local pool: the serving layer coalesces
+// identical in-flight cells, and the campaign engine answers repeats
+// from its disk cache before it calls Exec, then stores what Exec
+// returns. Workers ship cache-entry-level results (expt.RawCellResult),
+// which the engine writes into the coordinator's cache verbatim — a
+// fleet campaign is byte-identical to a single-node run.
+//
+// Workers enter the fleet one way (admit): listed at boot and probed by
+// Register, or announced at runtime through POST /v1/fleet/join.
 package fleet
 
 import (
@@ -36,7 +40,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,18 +56,17 @@ import (
 
 // Options configures a Coordinator.
 type Options struct {
-	// Workers lists worker daemon base URLs ("http://host:9400") known
-	// at boot. May be empty: workers can also join (and leave) the fleet
-	// at runtime through POST /v1/fleet/join, so a coordinator can start
-	// with nothing and grow as daemons come up.
+	// Workers lists worker daemon base URLs known at boot, normalized
+	// by NormalizeURL ("host:9400" means "http://host:9400"). May be
+	// empty: workers can also join (and leave) the fleet at runtime
+	// through POST /v1/fleet/join, so a coordinator can start with
+	// nothing and grow as daemons come up.
 	Workers []string
-	// World is the (model, scale, seed) world every worker must serve.
-	// Zero-valued, Register adopts the first reachable worker's world
-	// and verifies the rest against it.
+	// World pins the (model, scale, seed) world every worker must
+	// serve; its model must be this binary's. Zero-valued, the fleet
+	// adopts the first admitted worker's world and verifies the rest
+	// against it.
 	World expt.World
-	// Client issues the fleet's HTTP requests. Default: a client with
-	// no global timeout (per-cell contexts bound each call).
-	Client *http.Client
 	// HedgeAfter is the straggler threshold before a cell is hedged to
 	// a second worker while latency history is still thin; once enough
 	// cells complete the threshold adapts to ~1.1× the observed p99.
@@ -70,9 +75,6 @@ type Options struct {
 	// CellTimeout bounds one cell end-to-end, across every retry and
 	// hedge. <= 0 means 15 minutes.
 	CellTimeout time.Duration
-	// MaxAttempts bounds dispatch attempts per cell. <= 0 means
-	// 3 × len(Workers), minimum 4.
-	MaxAttempts int
 	// HeartbeatInterval is how often joined workers are expected to
 	// re-POST /v1/fleet/join, and how often the membership loop sweeps
 	// for stale ones. <= 0 means 2s.
@@ -82,21 +84,10 @@ type Options struct {
 	EvictAfter time.Duration
 }
 
-// l1flight coalesces concurrent Execs of the same digest.
-type l1flight struct {
-	done chan struct{}
-	ent  campaign.Entry
-	err  error
-	// tr is the leader's trace; followers adopt its spans as children
-	// so coalesced timelines still show where the shared work went.
-	tr *telemetry.CellTrace
-}
-
 // Coordinator shards cells across a worker fleet. It implements
 // campaign.Remote and is safe for concurrent use.
 type Coordinator struct {
-	opts   Options
-	client *http.Client
+	opts Options
 
 	// wmu guards the membership view: the worker list and the agreed
 	// world. Dispatch reads a snapshot; join/leave/evict rewrite the
@@ -106,17 +97,12 @@ type Coordinator struct {
 	workers []*worker
 	world   expt.World
 
-	mu      sync.Mutex
-	l1      map[string]campaign.Entry
-	flights map[string]*l1flight
-
 	latMu sync.Mutex
 	lat   *stats.LatencyRecorder // completed-cell seconds, feeds the hedge threshold
 
 	hedges         atomic.Int64
 	hedgeWins      atomic.Int64
 	retries        atomic.Int64
-	l1Hits         atomic.Int64
 	joins          atomic.Int64
 	leaves         atomic.Int64
 	evictions      atomic.Int64
@@ -124,30 +110,30 @@ type Coordinator struct {
 	deadlineHedges atomic.Int64
 }
 
-// New builds a coordinator over a (possibly empty) boot worker list.
-// Call Register before dispatching to verify world identity and size
-// the windows; workers may also Join at runtime.
+// New builds a coordinator over a (possibly empty) boot worker list,
+// normalizing each name, and checks a pinned world. Call Register
+// before dispatching to admit the boot workers; workers may also Join
+// at runtime.
 func New(o Options) (*Coordinator, error) {
 	seen := make(map[string]bool, len(o.Workers))
-	ws := make([]*worker, 0, len(o.Workers))
-	for _, name := range o.Workers {
-		if name == "" || seen[name] {
-			return nil, fmt.Errorf("fleet: empty or duplicate worker %q", name)
+	names := make([]string, 0, len(o.Workers))
+	for _, raw := range o.Workers {
+		name, err := NormalizeURL(raw)
+		if err != nil {
+			return nil, err
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("fleet: duplicate worker %q", name)
 		}
 		seen[name] = true
-		ws = append(ws, newWorker(name))
+		names = append(names, name)
 	}
+	o.Workers = names
 	if o.HedgeAfter <= 0 {
 		o.HedgeAfter = 2 * time.Second
 	}
 	if o.CellTimeout <= 0 {
 		o.CellTimeout = 15 * time.Minute
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3 * len(o.Workers)
-		if o.MaxAttempts < 4 {
-			o.MaxAttempts = 4
-		}
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 2 * time.Second
@@ -155,19 +141,55 @@ func New(o Options) (*Coordinator, error) {
 	if o.EvictAfter <= 0 {
 		o.EvictAfter = 3 * o.HeartbeatInterval
 	}
-	client := o.Client
-	if client == nil {
-		client = &http.Client{}
+	c := &Coordinator{opts: o, lat: stats.NewLatencyRecorder(1024)}
+	if o.World != (expt.World{}) {
+		if err := c.agree(o.World); err != nil {
+			return nil, fmt.Errorf("fleet: pinned world %w", err)
+		}
 	}
-	return &Coordinator{
-		opts:    o,
-		client:  client,
-		workers: ws,
-		world:   o.World,
-		l1:      make(map[string]campaign.Entry),
-		flights: make(map[string]*l1flight),
-		lat:     stats.NewLatencyRecorder(1024),
-	}, nil
+	return c, nil
+}
+
+// Dial builds a CLI's fleet: it parses a comma-separated -fleet list
+// (empty entries skipped), builds the coordinator and registers the
+// listed workers, giving the probes 30s.
+func Dial(fleetList string, o Options) (*Coordinator, error) {
+	o.Workers = nil
+	for _, u := range strings.Split(fleetList, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			o.Workers = append(o.Workers, u)
+		}
+	}
+	c, err := New(o)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Register(ctx); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// NormalizeURL gives one daemon one name across the -fleet list, join,
+// leave and eviction: a bare host:port gets http://, and surrounding
+// space and trailing slashes go. Anything but an http(s) URL with a
+// host and no query or fragment is an error.
+func NormalizeURL(raw string) (string, error) {
+	u := strings.TrimSpace(raw)
+	if !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	u = strings.TrimRight(u, "/")
+	p, err := url.Parse(u)
+	if err != nil {
+		return "", fmt.Errorf("fleet: URL %q: %w", raw, err)
+	}
+	if (p.Scheme != "http" && p.Scheme != "https") || p.Host == "" || p.RawQuery != "" || p.Fragment != "" {
+		return "", fmt.Errorf("fleet: URL %q: want http(s)://host[:port][/path]", raw)
+	}
+	return u, nil
 }
 
 // World returns the fleet's agreed world identity (meaningful after
@@ -189,72 +211,59 @@ func (c *Coordinator) snapshot() []*worker {
 	return append([]*worker(nil), c.workers...)
 }
 
-// Register probes every worker's /v1/queuez: verifies all reachable
-// workers serve the same (model, scale, seed) world and sizes each
-// in-flight window from the worker's simulation pool width. Unreachable
-// workers are down-marked, not fatal — dispatch retries them — but at
-// least one configured worker must answer, and any world mismatch is a
-// hard error (mismatched worlds would compute different cells for the
-// same spec). With an empty boot list Register is a no-op: the fleet
-// fills in as workers join.
+// Register admits every boot worker with its /v1/queuez answer (world
+// and pool width). A worker that does not answer joins the ring
+// down-marked, so dispatch retries it after its backoff, but at least
+// one listed worker must answer. Any world mismatch is a hard error:
+// mismatched worlds would compute different cells for the same spec.
+// With an empty boot list Register is a no-op: the fleet fills in as
+// workers join.
 func (c *Coordinator) Register(ctx context.Context) error {
-	ws := c.snapshot()
-	if len(ws) == 0 {
-		return nil
-	}
 	reachable := 0
-	for _, w := range ws {
-		qz, err := c.queuez(ctx, w)
-		if err != nil {
-			w.connFail(time.Now())
-			continue
+	for _, name := range c.opts.Workers {
+		var answer *serve.Queuez
+		if qz, err := c.queuez(ctx, name); err == nil {
+			answer = &qz
+			reachable++
 		}
-		c.wmu.Lock()
-		if c.world == (expt.World{}) {
-			c.world = qz.World
+		if _, err := c.admit(name, false, answer); err != nil {
+			return err
 		}
-		world := c.world
-		c.wmu.Unlock()
-		if qz.World != world {
-			return fmt.Errorf("fleet: worker %s serves world %+v, want %+v", w.name, qz.World, world)
-		}
-		w.configure(qz.Workers)
-		reachable++
 	}
-	if reachable == 0 {
-		return fmt.Errorf("fleet: no worker reachable of %d", len(ws))
+	if len(c.opts.Workers) > 0 && reachable == 0 {
+		return fmt.Errorf("fleet: no worker reachable of %d", len(c.opts.Workers))
 	}
 	return nil
 }
 
-func (c *Coordinator) queuez(ctx context.Context, w *worker) (serve.Queuez, error) {
+func (c *Coordinator) queuez(ctx context.Context, name string) (serve.Queuez, error) {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.name+"/v1/queuez", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, name+"/v1/queuez", nil)
 	if err != nil {
 		return serve.Queuez{}, err
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return serve.Queuez{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return serve.Queuez{}, fmt.Errorf("fleet: %s queuez = %d", w.name, resp.StatusCode)
+		return serve.Queuez{}, fmt.Errorf("fleet: %s queuez = %d", name, resp.StatusCode)
 	}
 	var qz serve.Queuez
 	if err := json.NewDecoder(resp.Body).Decode(&qz); err != nil {
-		return serve.Queuez{}, fmt.Errorf("fleet: %s queuez: %w", w.name, err)
+		return serve.Queuez{}, fmt.Errorf("fleet: %s queuez: %w", name, err)
 	}
 	return qz, nil
 }
 
-// Exec resolves one cell through the fleet: L1 probe, singleflight
-// coalescing, then sharded/hedged dispatch. It is the campaign.Remote
-// seam — the returned Entry is stored in the coordinator's disk cache
-// verbatim by the engine. tr (nil for untraced callers) receives the
-// dispatch's remote spans, with the worker's shipped spans adopted as
-// children.
+// Exec resolves one cell through the fleet: sharded dispatch with
+// hedging, retried on the next-ranked worker when an attempt fails. It
+// is the campaign.Remote seam — the engine calls it on a disk-cache
+// miss and stores the returned Entry in the coordinator's cache
+// verbatim. tr (nil for untraced callers) receives the dispatch's
+// remote spans, with the worker's shipped spans adopted as children.
 //
 // Workers are rendezvous-ranked on shardDigest when it is set — a
 // two-phase cell's first phase-1 micro-sim digest — instead of on the
@@ -262,14 +271,18 @@ func (c *Coordinator) queuez(ctx context.Context, w *worker) (serve.Queuez, erro
 // lands on the same worker, whose in-process phase-1 memo turns the
 // family's remaining micro resolutions into hits; ranking on cell
 // digests would scatter the family and re-simulate the micro-sims once
-// per worker. L1, singleflight, and the digest verification all still
-// use the cell's own content address.
+// per worker. The digest verification still uses the cell's own
+// content address.
 //
 // A non-zero deadline (a deadline-lane cell, counted in
 // deadline_cells) shrinks the hedge threshold as the deadline
 // approaches (Hurry-up-style placement): a straggling cell is
 // duplicated onto the next-ranked worker sooner than the adaptive p99
 // threshold would on its own.
+//
+// Validation failures and digest mismatches are fatal; 429s and
+// connection errors reshard. Attempts are bounded by the membership
+// live at each retry: three per worker, at least four.
 func (c *Coordinator) Exec(k campaign.Key, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (campaign.Entry, bool, error) {
 	if !deadline.IsZero() {
 		c.deadlineCells.Add(1)
@@ -279,53 +292,11 @@ func (c *Coordinator) Exec(k campaign.Key, shardDigest string, tr *telemetry.Cel
 	if rankDigest == "" {
 		rankDigest = digest
 	}
-	probe := time.Now()
-	c.mu.Lock()
-	if ent, ok := c.l1[digest]; ok {
-		c.mu.Unlock()
-		c.l1Hits.Add(1)
-		tr.StageDetail(telemetry.StageCache, probe, "l1")
-		return ent, true, nil
-	}
-	if f, ok := c.flights[digest]; ok {
-		c.mu.Unlock()
-		<-f.done
-		tr.Stage(telemetry.StageCoalesce, probe)
-		tr.SetJoined(f.tr.TraceID())
-		tr.Adopt(f.tr.Spans(), "")
-		if f.err != nil {
-			return campaign.Entry{}, false, f.err
-		}
-		// A coalesced follower's cell cost it nothing: a cache hit as
-		// far as its accounting is concerned.
-		return f.ent, true, nil
-	}
-	f := &l1flight{done: make(chan struct{}), tr: tr}
-	c.flights[digest] = f
-	c.mu.Unlock()
-
-	ent, cached, err := c.dispatch(k, digest, rankDigest, tr, deadline)
-
-	c.mu.Lock()
-	delete(c.flights, digest)
-	if err == nil {
-		c.l1[digest] = ent
-	}
-	c.mu.Unlock()
-	f.ent, f.err = ent, err
-	close(f.done)
-	return ent, cached, err
-}
-
-// dispatch runs the retry loop: acquire the best-ranked available
-// worker, attempt (with hedging), reshard to the next worker on
-// failure. Validation failures and digest mismatches are fatal; 429s
-// and connection errors reshard.
-func (c *Coordinator) dispatch(k campaign.Key, digest, rankDigest string, tr *telemetry.CellTrace, deadline time.Time) (campaign.Entry, bool, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.CellTimeout)
 	defer cancel()
 	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
+	attempt := 0
+	for ; attempt < c.maxAttempts(); attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 		}
@@ -345,7 +316,15 @@ func (c *Coordinator) dispatch(k campaign.Key, digest, rankDigest string, tr *te
 		}
 		lastErr = out.err
 	}
-	return campaign.Entry{}, false, fmt.Errorf("fleet: cell %s failed after %d attempts: %w", digest[:12], c.opts.MaxAttempts, lastErr)
+	return campaign.Entry{}, false, fmt.Errorf("fleet: cell %s failed after %d attempts: %w", digest[:12], attempt, lastErr)
+}
+
+// maxAttempts is the dispatch budget of one cell at the current
+// membership: three attempts per worker, at least four.
+func (c *Coordinator) maxAttempts() int {
+	c.wmu.RLock()
+	defer c.wmu.RUnlock()
+	return max(4, 3*len(c.workers))
 }
 
 // acquireWait blocks until some worker in the cell's rendezvous order
@@ -545,7 +524,7 @@ func (c *Coordinator) attempt(ctx context.Context, w *worker, k campaign.Key, di
 	req.Header.Set("Content-Type", "application/json")
 	tc.Hedged = hedged
 	tc.Inject(req.Header)
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
 			// A real connection failure, not our own hedge cancellation:
@@ -630,8 +609,6 @@ type Status struct {
 	Hedges         int64          `json:"hedges"`
 	HedgeWins      int64          `json:"hedge_wins"`
 	Retries        int64          `json:"retries"`
-	L1Hits         int64          `json:"l1_hits"`
-	L1Entries      int            `json:"l1_entries"`
 	Joins          int64          `json:"joins,omitempty"`
 	Leaves         int64          `json:"leaves,omitempty"`
 	Evictions      int64          `json:"evictions,omitempty"`
@@ -647,7 +624,6 @@ func (c *Coordinator) Stats() Status {
 		Hedges:         c.hedges.Load(),
 		HedgeWins:      c.hedgeWins.Load(),
 		Retries:        c.retries.Load(),
-		L1Hits:         c.l1Hits.Load(),
 		Joins:          c.joins.Load(),
 		Leaves:         c.leaves.Load(),
 		Evictions:      c.evictions.Load(),
@@ -657,9 +633,6 @@ func (c *Coordinator) Stats() Status {
 	for _, w := range c.snapshot() {
 		st.Workers = append(st.Workers, w.status(now))
 	}
-	c.mu.Lock()
-	st.L1Entries = len(c.l1)
-	c.mu.Unlock()
 	return st
 }
 

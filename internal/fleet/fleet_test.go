@@ -186,7 +186,13 @@ func TestShardingRoutesToHomeWorker(t *testing.T) {
 	}
 }
 
-func TestL1SingleflightCoalesces(t *testing.T) {
+// TestCoordinatorServerCoalescesAndCaches drives a coordinator the way
+// duplexityd coordinate runs it: a serve.Server whose suite has a cache
+// directory and the coordinator as its Remote. Five concurrent
+// identical POST /v1/cells share one worker exec (the serving layer's
+// flight table), and a repeat after they finish costs none (the
+// engine's disk cache): the coordinator itself keeps no results.
+func TestCoordinatorServerCoalescesAndCaches(t *testing.T) {
 	release := make(chan struct{})
 	f := newFakeWorker(t)
 	f.setHook(func(w http.ResponseWriter, r *http.Request) bool {
@@ -194,45 +200,74 @@ func TestL1SingleflightCoalesces(t *testing.T) {
 		return false
 	})
 	c := newTestCoordinator(t, Options{}, f)
+	suite := expt.NewSuite(expt.Options{Scale: 0.01, Seed: 1, Workers: 1, CacheDir: t.TempDir(), Remote: c})
+	srv, err := serve.New(serve.Config{Suite: suite, Workers: 2, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
 
-	k := keyFor(t, 0.5)
+	body, err := json.Marshal(serve.CellRequest{CellSpec: specFor(0.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/cells", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST /v1/cells = %d (%s)", resp.StatusCode, data)
+		}
+	}
+	coalesced := func() uint64 {
+		resp, err := http.Get(ts.URL + "/v1/statz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st serve.Statz
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Metrics.Counters["serve.coalesce.hits"]
+	}
+
 	var wg sync.WaitGroup
-	var cachedCount atomic.Int64
 	for i := 0; i < 5; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ent, cached, err := c.Exec(k, "", nil, time.Time{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if cached {
-				cachedCount.Add(1)
-			}
-			if len(ent.Result) == 0 {
-				t.Error("empty entry")
-			}
+			post()
 		}()
 	}
-	time.Sleep(50 * time.Millisecond) // let followers coalesce
+	// Hold the worker until the four followers have joined the leader.
+	deadline := time.Now().Add(10 * time.Second)
+	for coalesced() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("coalesce hits = %d, want 4", coalesced())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	close(release)
 	wg.Wait()
 	if got := f.execCount(); got != 1 {
-		t.Fatalf("worker saw %d execs, want 1 (singleflight)", got)
+		t.Fatalf("worker saw %d execs for 5 identical requests, want 1", got)
 	}
-	if cachedCount.Load() != 4 {
-		t.Errorf("cached followers = %d, want 4", cachedCount.Load())
-	}
-	// A later Exec answers from L1 without touching the fleet.
-	if _, cached, err := c.Exec(k, "", nil, time.Time{}); err != nil || !cached {
-		t.Fatalf("L1 probe: cached=%v err=%v", cached, err)
-	}
+	post()
 	if got := f.execCount(); got != 1 {
-		t.Fatalf("L1 hit reached the worker (%d execs)", got)
-	}
-	if st := c.Stats(); st.L1Hits != 1 || st.L1Entries != 1 {
-		t.Errorf("stats = %+v, want 1 L1 hit / 1 entry", st)
+		t.Fatalf("a repeat reached the worker (%d execs), want the coordinator's disk cache to answer", got)
 	}
 }
 
@@ -389,6 +424,62 @@ func TestRegisterWorldMismatchFatal(t *testing.T) {
 	if err := c.Register(context.Background()); err == nil {
 		t.Fatal("mismatched worlds must fail registration")
 	}
+	// A boot worker on another model is refused even when it is the
+	// first, whose world the fleet would otherwise adopt.
+	f3 := newFakeWorker(t)
+	f3.world.Model = "other-model"
+	if c, err = New(Options{Workers: []string{f3.srv.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register(context.Background()); err == nil {
+		t.Fatal("a worker on another model was adopted")
+	}
+	// So is a pinned world on another model.
+	if _, err := New(Options{World: f3.world}); err == nil {
+		t.Fatal("a pinned world on another model was accepted")
+	}
+}
+
+// TestFleetMetricszEscapesWorkerLabels gives a worker a name that needs
+// every escape of the text exposition format and checks each
+// per-worker row (the coordinator's own and the scrape_error one) stays
+// parseable with the name escaped.
+func TestFleetMetricszEscapesWorkerLabels(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A path is part of a worker's name; nothing listens on port 1, so
+	// the scrape fails and the worker gets a scrape_error row too.
+	name := `http://127.0.0.1:1/w"1\x`
+	if _, err := c.Join(name, 1, keySuite.World()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/fleet/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(scrape), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") && !promLineRe.MatchString(line) {
+			t.Errorf("unparseable fleet metricsz line: %q", line)
+		}
+	}
+	label := `worker="http://127.0.0.1:1/w\"1\\x"`
+	for _, want := range []string{
+		"duplexity_fleet_worker_dispatched{" + label + "} 0",
+		"duplexity_fleet_scrape_error{" + label + "} 1",
+	} {
+		if !strings.Contains(string(scrape), "\n"+want+"\n") {
+			t.Errorf("fleet metricsz lacks %q:\n%s", want, scrape)
+		}
+	}
 }
 
 func TestDigestMismatchFatal(t *testing.T) {
@@ -402,9 +493,6 @@ func TestDigestMismatchFatal(t *testing.T) {
 	c := newTestCoordinator(t, Options{}, f)
 	if _, _, err := c.Exec(keyFor(t, 0.5), "", nil, time.Time{}); err == nil {
 		t.Fatal("digest drift must be a hard error, never cached")
-	}
-	if st := c.Stats(); st.L1Entries != 0 {
-		t.Error("drifted entry landed in L1")
 	}
 }
 

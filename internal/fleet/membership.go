@@ -7,12 +7,16 @@ import (
 	"net/http"
 	"time"
 
+	"duplexity/internal/core"
 	"duplexity/internal/expt"
+	"duplexity/internal/serve"
 )
 
-// This file implements dynamic fleet membership: workers announce
-// themselves with POST /v1/fleet/join and keep re-posting it as a
-// heartbeat; a membership loop evicts joined workers that go quiet.
+// This file implements fleet membership. Boot workers (Register) and
+// runtime workers (Join) enter through one function, admit, which
+// holds the fleet's world rule. Runtime workers announce themselves
+// with POST /v1/fleet/join and keep re-posting it as a heartbeat; a
+// membership loop evicts joined workers that go quiet.
 // Adding or removing a worker rewrites the membership slice under wmu,
 // which is all a rendezvous ring needs — rankWorkers is a pure function
 // of the current list, so the ring "rebuilds" on the next acquire with
@@ -22,7 +26,7 @@ import (
 
 // JoinRequest is the POST /v1/fleet/join body: a worker announcing
 // itself (and, on repeat, heartbeating). PoolWidth sizes the dispatch
-// window like Register's /v1/queuez probe does; World lets the
+// window like a boot worker's /v1/queuez answer does; World lets the
 // coordinator reject a worker simulating a different universe before
 // it can serve a single divergent cell.
 type JoinRequest struct {
@@ -50,48 +54,86 @@ type LeaveRequest struct {
 }
 
 // Join adds a worker to the ring (or refreshes its heartbeat if it is
-// already a member). A zero coordinator world adopts the joiner's; a
-// non-zero mismatch is rejected — same invariant Register enforces.
+// already a member) under its normalized URL.
 func (c *Coordinator) Join(name string, poolWidth int, world expt.World) (created bool, err error) {
-	if name == "" {
-		return false, fmt.Errorf("fleet: join without a worker URL")
+	name, err = NormalizeURL(name)
+	if err != nil {
+		return false, err
 	}
-	now := time.Now()
-	c.wmu.Lock()
-	if c.world == (expt.World{}) && world != (expt.World{}) {
-		c.world = world
-	}
-	if world != (expt.World{}) && world != c.world {
-		have := c.world
-		c.wmu.Unlock()
-		return false, fmt.Errorf("fleet: worker %s serves world %+v, want %+v", name, world, have)
-	}
-	for _, w := range c.workers {
-		if w.name == name {
-			c.wmu.Unlock()
-			if poolWidth > 0 {
-				w.configure(poolWidth)
-			}
-			w.beat(now)
-			return false, nil
-		}
-	}
-	w := newWorker(name)
-	w.joined = true
-	w.lastBeat = now
-	if poolWidth > 0 {
-		w.configure(poolWidth)
-	}
-	c.workers = append(c.workers, w)
-	c.wmu.Unlock()
-	c.joins.Add(1)
-	return true, nil
+	return c.admit(name, true, &serve.Queuez{Workers: poolWidth, World: world})
 }
 
-// Leave removes a joined worker from the ring immediately (a graceful
-// shutdown beats waiting out the eviction window). Static boot workers
-// are not removable — they are the operator's configuration — and an
-// unknown name is a no-op; both report false.
+// admit is the one way into the fleet: Register admits each boot worker
+// with its /v1/queuez answer, Join each runtime worker with its join
+// body. The answer's world is adopted or verified (agree) and its pool
+// width, when set, sizes the worker's window; an existing member is
+// refreshed, not duplicated. A boot worker that did not answer (qz nil)
+// joins the ring down-marked, and only the digest check on its results
+// vouches for its world.
+func (c *Coordinator) admit(name string, joined bool, qz *serve.Queuez) (created bool, err error) {
+	now := time.Now()
+	c.wmu.Lock()
+	if qz != nil {
+		if err := c.agree(qz.World); err != nil {
+			c.wmu.Unlock()
+			return false, fmt.Errorf("fleet: worker %s %w", name, err)
+		}
+	}
+	var w *worker
+	for _, m := range c.workers {
+		if m.name == name {
+			w = m
+			break
+		}
+	}
+	if w == nil {
+		created = true
+		w = newWorker(name)
+		w.joined = joined
+		w.lastBeat = now
+		c.workers = append(c.workers, w)
+	}
+	c.wmu.Unlock()
+	if qz == nil {
+		w.connFail(now)
+		return created, nil
+	}
+	if qz.Workers > 0 {
+		w.configure(qz.Workers)
+	}
+	if joined {
+		w.beat(now)
+		if created {
+			c.joins.Add(1)
+		}
+	}
+	return created, nil
+}
+
+// agree adopts or verifies a member's world, with wmu held. A fleet
+// serves this binary's model only: another model computes different
+// results under the same cell keys. Once a world is set, pinned by
+// Options.World or adopted from the first admitted worker, every member
+// must serve exactly it.
+func (c *Coordinator) agree(world expt.World) error {
+	if world.Model != core.ModelVersion {
+		return fmt.Errorf("serves model %q, this binary is %q", world.Model, core.ModelVersion)
+	}
+	if c.world == (expt.World{}) {
+		c.world = world
+		return nil
+	}
+	if world != c.world {
+		return fmt.Errorf("serves world %+v, want %+v", world, c.world)
+	}
+	return nil
+}
+
+// Leave removes a joined worker, named by its normalized URL, from the
+// ring immediately (a graceful shutdown beats waiting out the eviction
+// window). Static boot workers are not removable — they are the
+// operator's configuration — and an unknown name is a no-op; both
+// report false.
 func (c *Coordinator) Leave(name string) bool {
 	c.wmu.Lock()
 	for i, w := range c.workers {
@@ -146,13 +188,20 @@ func (c *Coordinator) RunMembership(ctx context.Context, logf func(format string
 	}
 }
 
+// handleJoin answers 400 for a bad body or worker URL and 409 for a
+// joiner the world rule keeps out.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 		return
 	}
-	created, err := c.Join(req.Worker, req.PoolWidth, req.World)
+	name, err := NormalizeURL(req.Worker)
+	if err != nil {
+		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+		return
+	}
+	created, err := c.Join(name, req.PoolWidth, req.World)
 	if err != nil {
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusConflict)
 		return
@@ -171,7 +220,12 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 		return
 	}
-	removed := c.Leave(req.Worker)
+	name, err := NormalizeURL(req.Worker)
+	if err != nil {
+		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+		return
+	}
+	removed := c.Leave(name)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"removed": removed, "workers": len(c.snapshot()),

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"duplexity/internal/expt"
 )
 
 // TestMembershipJoinHeartbeatEvict exercises the membership state
@@ -140,6 +143,77 @@ func TestMembershipHTTPEndpoints(t *testing.T) {
 	}
 	if n := len(c.snapshot()); n != 0 {
 		t.Fatalf("fleet size after leave = %d, want 0", n)
+	}
+}
+
+// TestJoinValidatesInput checks the membership endpoints' input rules:
+// a bad body or worker URL is a 400, one daemon spelled three ways is
+// one member, and a joiner on another model is kept out with a 409.
+func TestJoinValidatesInput(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	post := func(path, body string) (int, []byte) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.Bytes()
+	}
+	join := func(worker string, world expt.World) (int, []byte) {
+		data, err := json.Marshal(JoinRequest{Worker: worker, PoolWidth: 1, World: world})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return post("/v1/fleet/join", string(data))
+	}
+	world := keySuite.World()
+
+	for _, bad := range []string{"", "http://", "ftp://host:1", "http://host:1/?q=1", "http://host:1/#f"} {
+		if status, body := join(bad, world); status != http.StatusBadRequest {
+			t.Errorf("join %q = %d (%s), want 400", bad, status, body)
+		}
+	}
+	for _, path := range []string{"/v1/fleet/join", "/v1/fleet/leave"} {
+		if status, body := post(path, "{"); status != http.StatusBadRequest {
+			t.Errorf("%s with a torn body = %d (%s), want 400", path, status, body)
+		}
+	}
+	if status, body := post("/v1/fleet/leave", `{"worker":"ftp://host:1"}`); status != http.StatusBadRequest {
+		t.Errorf("leave with a bad URL = %d (%s), want 400", status, body)
+	}
+
+	for i, spelling := range []string{"host:1", "http://host:1/", " http://host:1"} {
+		status, body := join(spelling, world)
+		if status != http.StatusOK {
+			t.Fatalf("join %q = %d (%s)", spelling, status, body)
+		}
+		var jr JoinResponse
+		if err := json.Unmarshal(body, &jr); err != nil {
+			t.Fatal(err)
+		}
+		if jr.Created != (i == 0) || jr.Workers != 1 {
+			t.Errorf("join %q = %+v, want created=%v and one member", spelling, jr, i == 0)
+		}
+	}
+	if ws := c.snapshot(); len(ws) != 1 || ws[0].name != "http://host:1" {
+		t.Fatalf("members = %v, want [http://host:1]", c.Stats().Workers)
+	}
+
+	other := world
+	other.Model = "other-model"
+	if status, body := join("http://host:2", other); status != http.StatusConflict {
+		t.Errorf("join on another model = %d (%s), want 409", status, body)
+	}
+
+	if status, body := post("/v1/fleet/leave", `{"worker":"host:1/"}`); status != http.StatusOK || !bytes.Contains(body, []byte(`"removed":true`)) {
+		t.Errorf("leave host:1/ = %d (%s), want the member removed", status, body)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // This file implements GET /v1/fleet/metricsz: one scrape target for
 // the whole fleet. The coordinator emits its own dispatch metrics
-// (hedges, retries, L1, per-worker windows) and concurrently scrapes
+// (hedges, retries, membership, per-worker windows) and concurrently scrapes
 // every worker's /v1/metricsz, re-emitting each worker's samples with a
 // worker="<base-url>" label — so a fleet's shed rate, hedge rate, cache
 // hit ratio, and per-stage latency percentiles are observable from one
@@ -125,13 +125,11 @@ func (c *Coordinator) ownMetrics() telemetry.Snapshot {
 	f.Counter("hedges").Set(uint64(st.Hedges))
 	f.Counter("hedge_wins").Set(uint64(st.HedgeWins))
 	f.Counter("retries").Set(uint64(st.Retries))
-	f.Counter("l1.hits").Set(uint64(st.L1Hits))
 	f.Counter("joins").Set(uint64(st.Joins))
 	f.Counter("leaves").Set(uint64(st.Leaves))
 	f.Counter("evictions").Set(uint64(st.Evictions))
 	f.Counter("deadline.cells").Set(uint64(st.DeadlineCells))
 	f.Counter("deadline.hedges").Set(uint64(st.DeadlineHedges))
-	f.Gauge("l1.entries").Set(float64(st.L1Entries))
 	f.Gauge("workers").Set(float64(len(st.Workers)))
 	return reg.Snapshot(0)
 }
@@ -147,7 +145,7 @@ func (c *Coordinator) handleFleetMetricsz(w http.ResponseWriter, r *http.Request
 	now := time.Now()
 	for _, wk := range workers {
 		st := wk.status(now)
-		lb := `worker="` + strings.ReplaceAll(st.Name, `"`, `\"`) + `"`
+		lb := telemetry.PromLabel("worker", st.Name)
 		add := func(name, typ string, v interface{}) {
 			doc.add(name, typ, fmt.Sprintf("%s{%s} %v", name, lb, v))
 		}
@@ -178,7 +176,7 @@ func (c *Coordinator) handleFleetMetricsz(w http.ResponseWriter, r *http.Request
 	}
 	wg.Wait()
 	for i, wk := range workers {
-		lb := `worker="` + strings.ReplaceAll(wk.name, `"`, `\"`) + `"`
+		lb := telemetry.PromLabel("worker", wk.name)
 		if errs[i] != nil {
 			doc.add("duplexity_fleet_scrape_error", "gauge",
 				fmt.Sprintf("duplexity_fleet_scrape_error{%s} 1", lb))
@@ -189,7 +187,7 @@ func (c *Coordinator) handleFleetMetricsz(w http.ResponseWriter, r *http.Request
 
 	w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 	// Unlabeled coordinator totals first, then the merged labeled doc.
-	_ = telemetry.WritePrometheus(w, c.ownMetrics(), "duplexity", nil)
+	_ = telemetry.WritePrometheus(w, c.ownMetrics(), "duplexity")
 	_ = doc.write(w)
 }
 
@@ -200,7 +198,7 @@ func (c *Coordinator) scrapeWorker(r *http.Request, base string) (string, error)
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return "", err
 	}

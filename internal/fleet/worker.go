@@ -65,12 +65,10 @@ func (w *worker) stale(now time.Time, evictAfter time.Duration) bool {
 }
 
 // configure sizes the window from the worker's reported simulation pool
-// width: start at the pool width (one dispatch per simulation slot) and
-// allow up to 2× so the worker's queue stays fed between round trips.
+// width (>= 1): start at the pool width (one dispatch per simulation
+// slot) and allow up to 2× so the worker's queue stays fed between
+// round trips.
 func (w *worker) configure(poolWidth int) {
-	if poolWidth < 1 {
-		poolWidth = 1
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.window = poolWidth

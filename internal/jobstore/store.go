@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"duplexity/internal/campaign"
 	"duplexity/internal/expt"
 )
 
@@ -137,28 +138,22 @@ func (s *Store) Put(rec Record) error {
 
 // AppendCursor appends one finished-cell entry to the job's cursor.
 // Like the campaign journal, each append opens/writes/closes so a
-// crash loses at most the line being written — and a torn final line
-// is tolerated on load.
+// crash loses at most the line being written, and a torn line is
+// skipped on load without hiding the lines appended after it.
 func (s *Store) AppendCursor(id string, e CursorEntry) error {
 	raw, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("jobstore: encoding cursor for %s: %w", id, err)
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, id+cursorSuffix),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(append(raw, '\n')); err != nil {
+	if err := campaign.AppendLine(filepath.Join(s.dir, id+cursorSuffix), raw); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	return nil
 }
 
 // Load reads every job back from disk, sorted by ID. Records that fail
-// to parse (torn writes, foreign files) are skipped; torn trailing
-// cursor lines are dropped.
+// to parse (torn writes, foreign files) are skipped, and so are
+// malformed cursor lines.
 func (s *Store) Load() ([]StoredJob, error) {
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -194,10 +189,9 @@ func (s *Store) readCursor(id string) []CursorEntry {
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		var e CursorEntry
-		if json.Unmarshal(sc.Bytes(), &e) != nil {
-			break // torn tail: everything after it is unreadable
+		if json.Unmarshal(sc.Bytes(), &e) == nil {
+			out = append(out, e) // a torn line is skipped, as in ReadJournal
 		}
-		out = append(out, e)
 	}
 	return out
 }

@@ -111,10 +111,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 1 << 20
+
 // decodeJSON parses a bounded request body, rejecting unknown fields so
 // typos fail loudly at the boundary instead of silently defaulting.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -41,7 +41,7 @@ func (s *Server) routes() *http.ServeMux {
 // answering with the served result or a structured rejection.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var req CellRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -101,7 +101,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 // consulted: the coordinator's per-worker window is the rate control.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var req CellRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -159,7 +159,7 @@ func (s *Server) handleQueuez(w http.ResponseWriter, r *http.Request) {
 // exactly where they stopped.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -290,7 +290,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // the campaign engine's cache accounting, and the tracez ring total.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", telemetry.PrometheusContentType)
-	_ = telemetry.WritePrometheus(w, s.metricsSnapshot(), "duplexity", nil)
+	_ = telemetry.WritePrometheus(w, s.metricsSnapshot(), "duplexity")
 }
 
 // handleTracez reports the most recent cell traces (oldest first) for

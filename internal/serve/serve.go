@@ -67,8 +67,6 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline for POST /v1/cells when
 	// the request doesn't set one; <= 0 means 10 minutes.
 	DefaultTimeout time.Duration
-	// MaxBodyBytes caps request bodies; <= 0 means 1 MiB.
-	MaxBodyBytes int64
 	// TraceDepth sizes the GET /v1/tracez recent-cell ring; <= 0 means
 	// telemetry.DefaultTraceDepth.
 	TraceDepth int
@@ -77,17 +75,10 @@ type Config struct {
 	// cache bytes are identical either way.
 	DisableTracing bool
 
-	// JobDir is where durable job records and cursors live; "" means
-	// <cache dir>/jobs. With no cache directory either, nothing
-	// survives a restart and a drain counts pending job cells
-	// cancelled.
-	JobDir string
 	// JobTTL bounds job state lifetime: finished jobs are reaped JobTTL
 	// after completion, unfinished ones expired JobTTL after
 	// submission; <= 0 means 24h.
 	JobTTL time.Duration
-	// JobGCInterval is the reap/expire sweep period; <= 0 means 1m.
-	JobGCInterval time.Duration
 	// TenantInflight caps one tenant's concurrently executing cells;
 	// <= 0 means 4x Workers.
 	TenantInflight int
@@ -96,9 +87,6 @@ type Config struct {
 	// TenantWeights overrides the fair-share weight per tenant name
 	// (default weight 1).
 	TenantWeights map[string]float64
-	// SchedInflight caps scheduler-dispatched cells in flight across all
-	// tenants; <= 0 means max(16, 4x Workers).
-	SchedInflight int
 	// InteractiveDeadline is the placement deadline granted to
 	// interactive-lane work that names none; <= 0 means 30s.
 	InteractiveDeadline time.Duration
@@ -186,20 +174,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 10 * time.Minute
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.TenantInflight <= 0 {
 		cfg.TenantInflight = 4 * cfg.Workers
 	}
 	if cfg.TenantQueuedJobs <= 0 {
 		cfg.TenantQueuedJobs = 16
-	}
-	if cfg.SchedInflight <= 0 {
-		cfg.SchedInflight = 4 * cfg.Workers
-		if cfg.SchedInflight < 16 {
-			cfg.SchedInflight = 16
-		}
 	}
 	if cfg.InteractiveDeadline <= 0 {
 		cfg.InteractiveDeadline = 30 * time.Second
@@ -227,13 +206,12 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.bucket = newTokenBucket(cfg.RatePerSec, burst)
 	}
-	jobDir := cfg.JobDir
-	if jobDir == "" {
-		if eng := cfg.Suite.Engine(); eng != nil {
-			if d := eng.CacheDir(); d != "" {
-				jobDir = filepath.Join(d, "jobs")
-			}
-		}
+	// Durable job records and cursors live under <cache dir>/jobs. With
+	// no cache directory nothing survives a restart, and a drain counts
+	// pending job cells cancelled.
+	jobDir := ""
+	if eng := cfg.Suite.Engine(); eng != nil && eng.CacheDir() != "" {
+		jobDir = filepath.Join(eng.CacheDir(), "jobs")
 	}
 	mgr, err := jobstore.NewManager(jobstore.Config{
 		Dir: jobDir,
@@ -242,10 +220,10 @@ func New(cfg Config) (*Server, error) {
 			MaxInflight:   cfg.TenantInflight,
 			MaxQueuedJobs: cfg.TenantQueuedJobs,
 		},
-		Weights:     cfg.TenantWeights,
-		MaxInflight: cfg.SchedInflight,
+		Weights: cfg.TenantWeights,
+		// Scheduler-dispatched cells in flight across all tenants.
+		MaxInflight: max(16, 4*cfg.Workers),
 		DefaultTTL:  cfg.JobTTL,
-		GCInterval:  cfg.JobGCInterval,
 		Exec:        s.runJobCell,
 		Lookup:      s.lookupCell,
 	})

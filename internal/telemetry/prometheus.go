@@ -39,43 +39,14 @@ func PromName(prefix, name string) string {
 	return b.String()
 }
 
-// promLabels renders a sorted, escaped label block ("" when empty).
-func promLabels(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteString(`="`)
-		v := labels[k]
-		v = strings.ReplaceAll(v, `\`, `\\`)
-		v = strings.ReplaceAll(v, "\n", `\n`)
-		v = strings.ReplaceAll(v, `"`, `\"`)
-		b.WriteString(v)
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// mergeLabels renders base labels plus one extra pair.
-func mergeLabels(labels map[string]string, k, v string) string {
-	m := make(map[string]string, len(labels)+1)
-	for lk, lv := range labels {
-		m[lk] = lv
-	}
-	m[k] = v
-	return promLabels(m)
+// PromLabel renders one label pair, name="value", with the value
+// escaped as the text exposition format requires: backslash, newline
+// and double quote.
+func PromLabel(name, value string) string {
+	value = strings.ReplaceAll(value, `\`, `\\`)
+	value = strings.ReplaceAll(value, "\n", `\n`)
+	value = strings.ReplaceAll(value, `"`, `\"`)
+	return name + `="` + value + `"`
 }
 
 // WritePrometheus encodes a registry snapshot in the Prometheus text
@@ -84,12 +55,8 @@ func mergeLabels(labels map[string]string, k, v string) string {
 // bucket k holds integer observations in [2^(k-1), 2^k), so its
 // cumulative upper bound is le = 2^k − 1 (bucket 0, exact zeros, is
 // le = 0); the top saturating bucket folds into +Inf. Metric names are
-// sorted, so output is deterministic and diffable. labels (may be nil)
-// are attached to every sample — the coordinator's fleet aggregation
-// uses this to tag each worker's scrape.
-func WritePrometheus(w io.Writer, s Snapshot, prefix string, labels map[string]string) error {
-	lb := promLabels(labels)
-
+// sorted, so output is deterministic and diffable.
+func WritePrometheus(w io.Writer, s Snapshot, prefix string) error {
 	names := make([]string, 0, len(s.Counters))
 	for name := range s.Counters {
 		names = append(names, name)
@@ -97,7 +64,7 @@ func WritePrometheus(w io.Writer, s Snapshot, prefix string, labels map[string]s
 	sort.Strings(names)
 	for _, name := range names {
 		n := PromName(prefix, name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", n, n, lb, s.Counters[name]); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, s.Counters[name]); err != nil {
 			return fmt.Errorf("telemetry: writing prometheus counter %s: %w", name, err)
 		}
 	}
@@ -109,7 +76,7 @@ func WritePrometheus(w io.Writer, s Snapshot, prefix string, labels map[string]s
 	sort.Strings(names)
 	for _, name := range names {
 		n := PromName(prefix, name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %s\n", n, n, lb,
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", n, n,
 			strconv.FormatFloat(s.Gauges[name], 'g', -1, 64)); err != nil {
 			return fmt.Errorf("telemetry: writing prometheus gauge %s: %w", name, err)
 		}
@@ -134,15 +101,12 @@ func WritePrometheus(w io.Writer, s Snapshot, prefix string, labels map[string]s
 				// its observations are covered by +Inf below.
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				n, mergeLabels(labels, "le", strconv.FormatUint(b.Hi-1, 10)), cum); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, b.Hi-1, cum); err != nil {
 				return fmt.Errorf("telemetry: writing prometheus histogram %s: %w", name, err)
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n%s_sum%s %d\n%s_count%s %d\n",
-			n, mergeLabels(labels, "le", "+Inf"), h.Count,
-			n, lb, h.Sum,
-			n, lb, h.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
+			n, h.Count, n, h.Sum, n, h.Count); err != nil {
 			return fmt.Errorf("telemetry: writing prometheus histogram %s: %w", name, err)
 		}
 	}

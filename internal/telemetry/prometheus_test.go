@@ -27,7 +27,7 @@ func promSnapshot() Snapshot {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	var b strings.Builder
-	if err := WritePrometheus(&b, promSnapshot(), "duplexity", nil); err != nil {
+	if err := WritePrometheus(&b, promSnapshot(), "duplexity"); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := b.String()
@@ -58,7 +58,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestWritePrometheusCumulativeBuckets(t *testing.T) {
 	var b strings.Builder
-	if err := WritePrometheus(&b, promSnapshot(), "duplexity", nil); err != nil {
+	if err := WritePrometheus(&b, promSnapshot(), "duplexity"); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := b.String()
@@ -78,22 +78,6 @@ func TestWritePrometheusCumulativeBuckets(t *testing.T) {
 	}
 	if strings.Contains(out, `le="18446744073709551614"`) {
 		t.Fatalf("saturating bucket got a finite le:\n%s", out)
-	}
-}
-
-func TestWritePrometheusLabels(t *testing.T) {
-	var b strings.Builder
-	err := WritePrometheus(&b, promSnapshot(), "duplexity",
-		map[string]string{"worker": `w"1\x`})
-	if err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `duplexity_serve_admitted{worker="w\"1\\x"} 41`) {
-		t.Fatalf("label escaping wrong:\n%s", out)
-	}
-	if !strings.Contains(out, `duplexity_serve_latency_us_bucket{le="0",worker="w\"1\\x"} 1`) {
-		t.Fatalf("histogram label merge wrong:\n%s", out)
 	}
 }
 

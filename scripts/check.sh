@@ -61,9 +61,9 @@ go test -race -timeout 15m ./internal/serve
 # loop, and resume across goroutines; the whole suite runs raced.
 go test -race -timeout 15m ./internal/jobstore
 # The fleet coordinator crosses goroutines on every dispatch (hedges,
-# window accounting, L1 singleflight, runtime membership changes); its
-# suite, including the two-real-workers e2e byte-identity test, runs
-# raced.
+# window accounting, runtime membership changes) and runs behind a
+# serve.Server's coalescing; its suite, including the two-real-workers
+# e2e byte-identity test, runs raced.
 go test -race -timeout 15m ./internal/fleet
 go test -race -run 'TestE2E' -timeout 15m .
 # The energy-proportionality subsystem: queueing idle accounting, the
@@ -84,12 +84,14 @@ go test -timeout 10m ./cmd/duplexityd
 echo "== fuzz (10 s per target) =="
 # Each target runs for a fixed time on top of its seed corpus
 # (testdata/fuzz/<target>); a failing input is written there. Key.Digest
-# against its reference encoding, and any CellSpec at the serving
-# boundary. -fuzzminimizetime bounds the shrinking of each new
+# against its reference encoding, any CellSpec at the serving boundary,
+# and arbitrary job record and cursor bytes through the job store's
+# Load. -fuzzminimizetime bounds the shrinking of each new
 # interesting input, which on the expt binary can otherwise take the
 # whole run.
 go test -run '^$' -fuzz '^FuzzKeyDigest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/campaign
 go test -run '^$' -fuzz '^FuzzResolve$' -fuzztime 10s -fuzzminimizetime 1s ./internal/expt
+go test -run '^$' -fuzz '^FuzzStoreLoad$' -fuzztime 10s -fuzzminimizetime 1s ./internal/jobstore
 
 if [[ "${CHECK_SKIP_BENCH:-0}" == "1" ]]; then
     echo "== telemetry overhead guard skipped (CHECK_SKIP_BENCH=1) =="
