@@ -102,7 +102,6 @@ import (
 	"time"
 
 	"duplexity/internal/campaign"
-	"duplexity/internal/core"
 	"duplexity/internal/expt"
 	"duplexity/internal/fleet"
 	"duplexity/internal/jobstore"
@@ -231,8 +230,8 @@ type daemonFlags struct {
 func addDaemonFlags(fs *flag.FlagSet) *daemonFlags {
 	return &daemonFlags{
 		addr:           fs.String("addr", "127.0.0.1:8077", "listen address"),
-		scale:          fs.Float64("scale", 0, "simulation fidelity (0 = 1.0, paper scale; coordinate: 0 adopts the workers')"),
-		seed:           fs.Uint64("seed", 0, "campaign seed (0 = 1; coordinate: 0 adopts the workers')"),
+		scale:          fs.Float64("scale", 0, "simulation fidelity (0 = 1.0, paper scale; coordinate: 0 with -seed 0 adopts the workers')"),
+		seed:           fs.Uint64("seed", 0, "campaign seed (0 = 1; coordinate: 0 with -scale 0 adopts the workers')"),
 		workers:        fs.Int("workers", 0, "simulation pool width, on a coordinator the engine width feeding the fleet (0 = one per CPU)"),
 		cacheDir:       fs.String("cachedir", "", "content-addressed result cache directory"),
 		resume:         fs.Bool("resume", false, "use the default cache (.duplexity-cache) when -cachedir is unset"),
@@ -378,6 +377,10 @@ type serveHooks struct {
 // finishing in-flight cells, flushing the campaign checkpoint) before
 // shutting the listener down.
 func serveUntilSignal(srv *serve.Server, handler http.Handler, addr, banner string, drainTimeout time.Duration, hooks *serveHooks) error {
+	// Catch SIGTERM before announcing, so a signal sent as soon as the
+	// banner appears drains instead of killing the process.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	// Bind before announcing, so the banner names the bound address
 	// (the real port when addr asks for :0).
 	ln, err := net.Listen("tcp", addr)
@@ -393,8 +396,6 @@ func serveUntilSignal(srv *serve.Server, handler http.Handler, addr, banner stri
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errc:
 		return err
@@ -429,13 +430,14 @@ func cmdCoordinate(args []string) error {
 	heartbeat := fs.Duration("heartbeat", 0, "dynamic-worker heartbeat interval (0 = default 2s)")
 	evictAfter := fs.Duration("evict-after", 0, "evict a joined worker after this long without a heartbeat (0 = 3x heartbeat)")
 	d.parse(fs, args)
-	if *fleetList == "" && (*d.scale == 0 || *d.seed == 0) {
-		return fmt.Errorf("with an empty -fleet, -scale and -seed must pin the world joining workers are verified against")
+	if *fleetList == "" && *d.scale == 0 && *d.seed == 0 {
+		return fmt.Errorf("with an empty -fleet, -scale or -seed must pin the world joining workers are verified against")
 	}
 
 	o := fleet.Options{HedgeAfter: *hedgeAfter, HeartbeatInterval: *heartbeat, EvictAfter: *evictAfter}
 	if *d.scale != 0 || *d.seed != 0 {
-		o.World = expt.World{Model: core.ModelVersion, Scale: *d.scale, Seed: *d.seed}
+		// A pinned world fills its unset half as a worker's suite does.
+		o.World = expt.Options{Scale: *d.scale, Seed: *d.seed}.World()
 	}
 	coord, err := fleet.Dial(*fleetList, o)
 	if err != nil {

@@ -434,3 +434,19 @@ func TestCoordinateProcess(t *testing.T) {
 	co.drain(t)
 	w1.drain(t)
 }
+
+// TestCoordinateFillsHalfGivenWorld pins only -scale on a coordinator:
+// the seed it pins is the suite default a worker started without -seed
+// serves, so that worker is admitted.
+func TestCoordinateFillsHalfGivenWorld(t *testing.T) {
+	w := startDaemon(t, "serve", "-addr", "127.0.0.1:0", "-scale", scale,
+		"-workers", "1", "-cachedir", t.TempDir())
+	co := startDaemon(t, "coordinate", "-addr", "127.0.0.1:0", "-scale", scale,
+		"-fleet", w.addr, "-cachedir", t.TempDir())
+	if log := co.stderr(); !strings.Contains(log, "fleet registered: 1 workers") ||
+		!strings.Contains(log, fmt.Sprintf("(scale=%s seed=1 ", scale)) {
+		t.Fatalf("coordinator did not admit the worker on world scale=%s seed=1\n%s", scale, log)
+	}
+	co.drain(t)
+	w.drain(t)
+}

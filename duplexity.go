@@ -168,6 +168,10 @@ func IdleGovernors() []IdleGovernor { return idle.Governors() }
 func IdleGovernorByName(name string) (IdleGovernor, bool) { return idle.ByName(name) }
 
 // QueueConfig parameterizes the BigHouse-style M/G/1 tail simulator.
+// ExtraUs is a constant per-request overhead in µs (a float64, not a
+// Distribution). Simulations with one Seed and one unscaled service
+// distribution read one shared stream of draws, so a Scaled service
+// time costs no extra sampling per factor.
 type QueueConfig = queueing.Config
 
 // QueueResult summarizes a queueing simulation.

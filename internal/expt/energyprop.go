@@ -95,7 +95,9 @@ func (s *Suite) queueEnergyCell(design core.Design, spec *workload.Spec, govName
 	rho := lambda * spec.NominalServiceUs * slow / 1e6
 	// No ExtraUs restart overhead here: for fill cells the C0-fill
 	// state's exit latency is the master-restart charge, applied per
-	// idle interval rather than smeared per request.
+	// idle interval rather than smeared per request. The seed's
+	// len(spec.Name) term is shared by equal-length workload names, as
+	// in queueTail.
 	cfg := queueing.Config{
 		ArrivalQPS: lambda,
 		ServiceUs:  stats.Scaled{Base: spec.ServiceDist(), Factor: slow},

@@ -185,10 +185,15 @@ type World struct {
 	Seed  uint64  `json:"seed"`
 }
 
-// World returns this suite's world identity.
-func (s *Suite) World() World {
-	return World{Model: core.ModelVersion, Scale: s.opts.Scale, Seed: s.opts.Seed}
+// World returns the world a suite built from o simulates: a zero Scale
+// or Seed is the suite's default (1.0, 1).
+func (o Options) World() World {
+	o = o.withDefaults()
+	return World{Model: core.ModelVersion, Scale: o.Scale, Seed: o.Seed}
 }
+
+// World returns this suite's world identity.
+func (s *Suite) World() World { return s.opts.World() }
 
 // Err reports the campaign-engine configuration error, if any.
 func (s *Suite) Err() error { return s.engErr }

@@ -86,16 +86,21 @@ func (s *Suite) queueTail(design core.Design, spec *workload.Spec, load, lambdaQ
 	}
 	// Per-request master restart overhead applies to requests that arrive
 	// while the core is morphed (approximately the idle fraction).
-	var extra stats.Distribution
+	var extra float64
 	if r := design.RestartLat(); r > 0 {
 		restartUs := float64(r) / (design.FreqGHz() * 1e3)
-		extra = stats.Deterministic{Value: restartUs * (1 - load)}
+		extra = restartUs * (1 - load)
 	}
 	rho := lambdaQPS * spec.NominalServiceUs * slow / 1e6
 	// Common random numbers: all designs at one (workload, load) point
 	// share a seed, so normalized tail ratios difference out sampling
-	// noise. Sojourn times are autocorrelated at high load, so the CI
-	// stopping rule alone is optimistic; a large floor keeps p99 stable.
+	// noise, and queueing.Simulate draws their request stream once. The
+	// seed hashes only the workload name's length, so FLANN-HA, FLANN-LL,
+	// McRouter and WordStem share one seed at each load; the stream is
+	// keyed by the unscaled service distribution too, so they never
+	// share samples they would not have drawn. Sojourn times are
+	// autocorrelated at high load, so the CI stopping rule alone is
+	// optimistic; a large floor keeps p99 stable.
 	cfg := queueing.Config{
 		ArrivalQPS:  lambdaQPS,
 		ServiceUs:   stats.Scaled{Base: spec.ServiceDist(), Factor: slow},

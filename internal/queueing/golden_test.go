@@ -22,7 +22,7 @@ func goldenShapes(t *testing.T) []goldenShape {
 		{"tail-cell", Config{
 			ArrivalQPS:  50_000,
 			ServiceUs:   stats.Scaled{Base: stats.Lognormal{MeanVal: 10, CV: 2}, Factor: 1.3},
-			ExtraUs:     stats.Deterministic{Value: 0.4},
+			ExtraUs:     0.4,
 			Seed:        131*1 + 8*977 + 700,
 			MinRequests: 400_000,
 			MaxRequests: 3_000_000,

@@ -25,11 +25,15 @@ type Config struct {
 	// ArrivalQPS is the Poisson arrival rate λ in requests per second.
 	ArrivalQPS float64
 	// ServiceUs is the service-time distribution in µs (already scaled
-	// by the design's IPC slowdown).
+	// by the design's IPC slowdown). A stats.Scaled is read as its Base
+	// and Factor: simulations with one Seed and one unscaled
+	// distribution read one stream of draws, whatever their factors.
 	ServiceUs stats.Distribution
-	// ExtraUs, if non-nil, is an additive per-request overhead in µs
-	// (e.g. master-thread restart after filler eviction).
-	ExtraUs stats.Distribution
+	// ExtraUs is a constant per-request overhead in µs added to every
+	// service time when non-zero (e.g. master-thread restart after
+	// filler eviction). It is a constant, not a distribution, so it
+	// draws nothing from the shared stream.
+	ExtraUs float64
 	// Warmup requests are simulated but not measured (default 1000).
 	Warmup int
 	// MaxRequests bounds the simulation (default 2,000,000).
@@ -90,8 +94,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("queueing: service distribution required")
 	}
 	rho := c.ArrivalQPS * c.ServiceUs.Mean() / 1e6
-	if c.ExtraUs != nil {
-		rho += c.ArrivalQPS * c.ExtraUs.Mean() / 1e6
+	if c.ExtraUs != 0 {
+		rho += c.ArrivalQPS * c.ExtraUs / 1e6
 	}
 	if rho >= 1 && !c.AllowUnstable {
 		return fmt.Errorf("queueing: offered load %.3f >= 1 is unstable", rho)
@@ -144,7 +148,16 @@ func Simulate(cfg Config) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
-	rng := stats.NewRNG(c.Seed)
+	base, factor := c.ServiceUs, 1.0
+	if sc, ok := base.(stats.Scaled); ok {
+		base, factor = sc.Base, sc.Factor
+	}
+	st := acquireStream(c.Seed, base)
+	defer st.release()
+	var (
+		chunks []*[chunkLen]draw
+		drawn  int // draws of st this run may read
+	)
 	rec := stats.NewLatencyRecorder(c.MinRequests * 2)
 
 	meanGap := 1e6 / c.ArrivalQPS // µs between arrivals
@@ -164,8 +177,12 @@ func Simulate(cfg Config) (Result, error) {
 	}
 	total := 0
 	for {
+		if total == drawn {
+			chunks, drawn = st.extend(total+1, c.nextStop(total+1))
+		}
+		d := chunks[total/chunkLen][total%chunkLen]
 		total++
-		clock += meanGap * rng.ExpFloat64()
+		clock += meanGap * d.gap
 		start := clock
 		var wake float64
 		if freeAt >= start {
@@ -193,9 +210,9 @@ func Simulate(cfg Config) (Result, error) {
 				}
 			}
 		}
-		svc := c.ServiceUs.Sample(rng)
-		if c.ExtraUs != nil {
-			svc += c.ExtraUs.Sample(rng)
+		svc := factor * d.svc
+		if c.ExtraUs != 0 {
+			svc += c.ExtraUs
 		}
 		if svc < 0 {
 			svc = 0
@@ -225,7 +242,7 @@ func Simulate(cfg Config) (Result, error) {
 		}
 		converged := false
 		done := total-c.Warmup >= c.MaxRequests
-		if rec.Count() >= c.MinRequests && rec.Count()%8192 == 0 &&
+		if rec.Count() >= c.MinRequests && rec.Count()%checkEvery == 0 &&
 			rec.RelativeQuantileErrorBelow(0.99, 1.96, c.TargetRelErr) {
 			converged, done = true, true
 		}
@@ -248,6 +265,19 @@ func Simulate(cfg Config) (Result, error) {
 			return r, nil
 		}
 	}
+}
+
+// checkEvery is the convergence check's period in measured requests.
+const checkEvery = 8192
+
+// nextStop returns the first request number at or after total at
+// which the run can end: a convergence check (a multiple of checkEvery
+// measured requests at or past MinRequests) or the MaxRequests cap.
+// The stream is drawn only that far, so no run draws past its end.
+func (c Config) nextStop(total int) int {
+	k := max(total-c.Warmup, c.MinRequests)
+	k = (k + checkEvery - 1) / checkEvery * checkEvery
+	return max(total, min(c.Warmup+k, c.Warmup+c.MaxRequests))
 }
 
 func (c Config) finish(rec *stats.LatencyRecorder, busy, queueArea, elapsed float64, converged bool) Result {

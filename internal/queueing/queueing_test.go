@@ -22,7 +22,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Simulate(Config{
 		ArrivalQPS: 90_000,
 		ServiceUs:  stats.Deterministic{Value: 10},
-		ExtraUs:    stats.Deterministic{Value: 2},
+		ExtraUs:    2,
 	}); err == nil {
 		t.Fatal("extra overhead pushing load over 1 accepted")
 	}
@@ -103,7 +103,7 @@ func TestExtraOverheadShiftsLatency(t *testing.T) {
 	extra, err := Simulate(Config{
 		ArrivalQPS: 30_000,
 		ServiceUs:  stats.Deterministic{Value: 10},
-		ExtraUs:    stats.Deterministic{Value: 5},
+		ExtraUs:    5,
 		Seed:       3,
 	})
 	if err != nil {

@@ -71,7 +71,10 @@ go test -race -run 'TestE2E' -timeout 15m .
 # Named explicitly so a -run tweak above can never drop the conservation
 # invariant (utilization + idle fraction == 1) from the raced gate. The
 # stats package carries the latency recorder the queueing stage's
-# convergence checks and percentiles read.
+# convergence checks and percentiles read. The queueing suite runs a
+# point's seven designs concurrently on one shared draw stream
+# (TestSharedStreamBitIdentical), so the race detector sees the stream
+# grow while it is read.
 go test -race -timeout 15m ./internal/idle ./internal/stats ./internal/queueing ./internal/power
 
 echo "== go test (duplexityd process) =="
